@@ -3,11 +3,9 @@
 Every number here is **simulator-predicted**: the Xeon 6152 machine
 model extrapolates from the same *measured* 1-thread kernels as
 Figure 11 — no 44-thread execution happens (this container cannot run
-one). The real multithreaded runtime is benchmarked separately in
-``test_pr6_parallel_wavefront.py``, which emits the measured-vs-
-predicted comparison table (``BENCH_pr6_parallel_wavefront.json``)
-cross-validating this machine model at the thread counts the host can
-actually exercise. Shape checks: the 9-point case scales worst (its
+one). The real multithreaded runtime is measured separately by
+``benchmarks/e2e`` (``run_mt_ms``, ``runtime.parallel.mt_speedup``) at
+the thread counts the host can actually exercise. Shape checks: the 9-point case scales worst (its
 ``1 x T`` sub-domain restriction yields thin wavefronts, §4.1), and NUMA
 effects keep every case well below linear scaling.
 """
@@ -46,14 +44,14 @@ def test_fig12_44_threads(benchmark):
             ["Case", "C+Pluto 1", "C+Pluto 2", "MLIR", "MLIR par. eff."],
             rows,
             title="Figure 12: simulator-PREDICTED autotuned speedup at 44 "
-                  "threads (no measured execution; see "
-                  "BENCH_pr6_parallel_wavefront.json for measured)",
+                  "threads (no measured execution; see run_mt_ms in "
+                  "benchmarks/e2e for measured)",
         )
     )
     data["_source"] = (
         "simulator-predicted (Xeon 6152 machine model over measured "
-        "1-thread tile times); measured thread scaling lives in "
-        "BENCH_pr6_parallel_wavefront.json"
+        "1-thread tile times); measured thread scaling is run_mt_ms / "
+        "runtime.parallel.mt_speedup in benchmarks/e2e"
     )
     save_results("fig12_44threads", data)
     # Shape: the 9-point kernel has the weakest parallel scaling of the

@@ -143,9 +143,10 @@ REGISTRY: Dict[str, DiagnosticInfo] = {
         _info("RS003", "interpreter fallback engaged", "warning",
               "every compiled configuration failed; the pristine module "
               "runs on the reference interpreter instead"),
-        _info("RS004", "corrupted disk-cache entry quarantined", "warning",
-              "a truncated, corrupted or version-skewed kernel-cache disk "
-              "entry was quarantined and treated as a miss"),
+        _info("RS004", "corrupted disk entry quarantined", "warning",
+              "a truncated, corrupted or version-skewed disk entry of the "
+              "kernel cache, the certificate memo or the solver "
+              "checkpoints was quarantined and treated as a miss"),
         _info("RS005", "kernel execution failed", "error",
               "a compiled kernel's entry point was missing or raised "
               "mid-execution"),

@@ -16,20 +16,16 @@ every fingerprint, so old entries simply never match again.
 Two tiers:
 
 * an in-memory LRU (:class:`KernelCache`), the default, process-local;
-* optional on-disk persistence (``persist=True``) under
-  ``~/.cache/repro-stencils/`` (override with ``$REPRO_CACHE_DIR``): the
-  emitted source is stored next to a small metadata file and re-``exec``'d
-  on load, which is orders of magnitude cheaper than re-lowering.
+* optional on-disk persistence (``disk_dir=``; :func:`default_disk_dir`
+  is ``~/.cache/repro-stencils/`` or ``$REPRO_CACHE_DIR``): the emitted
+  source ``<fp>.py`` is stored next to a metadata file ``<fp>.json`` and
+  re-``exec``'d on load, which is orders of magnitude cheaper than
+  re-lowering.
 
-The disk tier is hardened: entries are written atomically (temp file +
-rename) with a SHA-256 checksum of the source in the metadata, and loads
-verify the checksum, the emitter version and the entry point before
-``exec``-ing anything. A truncated, corrupted or version-skewed entry is
-*quarantined* (moved to ``<disk_dir>/quarantine/``) and treated as a
-cache miss — the kernel simply recompiles and the fresh entry replaces
-the bad one, so a bad file can fail at most once. Disk I/O failures
-(including injected ``cache.disk-read`` / ``cache.disk-write`` faults)
-degrade the cache to memory-only; they never crash a compile.
+The disk tier is a :class:`~repro.runtime.diskstore.DiskStore`, which
+owns atomic writes, the emitter-version + SHA-256 envelope, quarantine
+and memory-only degradation; this module only says what an entry *is*
+(source, committing metadata, entry-point check before it is trusted).
 
 The process-wide default instance (:func:`default_cache`) is what
 ``StencilCompiler.compile`` consults when ``CompileOptions.use_cache``
@@ -45,21 +41,13 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.codegen.executor import CompiledKernel
 from repro.codegen.python_backend import EMITTER_VERSION
 from repro.ir.module import ModuleOp
 from repro.ir.printer import print_module
-from repro.runtime.resilience.faults import InjectedFault, maybe_inject
-
-
-class CorruptCacheEntry(Exception):
-    """A disk entry failed checksum/version/entry-point validation."""
-
-
-def _source_digest(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+from repro.runtime.diskstore import CorruptEntry, DiskBacked, DiskStats, DiskStore
 
 
 def default_disk_dir() -> Path:
@@ -92,19 +80,13 @@ def module_fingerprint(
 
 
 @dataclass
-class CacheStats:
+class CacheStats(DiskStats):
     """Counters of one :class:`KernelCache` instance."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    disk_hits: int = 0
     puts: int = 0
-    #: Disk entries that failed validation and were moved to quarantine.
-    quarantined: int = 0
-    #: Disk reads/writes that failed outright (I/O error or injected
-    #: fault); the cache degraded to memory-only for that operation.
-    disk_errors: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -112,31 +94,27 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-class KernelCache:
+class KernelCache(DiskBacked):
     """An LRU of compiled kernels keyed by :func:`module_fingerprint`.
 
     Thread-safe: the benchmark harness compiles from worker threads.
-    With ``persist=True`` every entry is also written to ``disk_dir``
-    (defaulting to :func:`default_disk_dir`), and lookups that miss in
-    memory fall through to disk, re-``exec`` the stored source and
-    promote the kernel back into the LRU.
+    With ``disk_dir`` set every entry is also written there, and lookups
+    that miss in memory fall through to disk, re-``exec`` the stored
+    source and promote the kernel back into the LRU.
     """
 
     def __init__(
-        self,
-        max_entries: int = 256,
-        persist: bool = False,
-        disk_dir: Optional[Path] = None,
+        self, max_entries: int = 256, disk_dir: Optional[Path] = None
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self.disk_dir = Path(disk_dir) if disk_dir else (
-            default_disk_dir() if persist else None
-        )
         self.stats = CacheStats()
-        #: ``(fingerprint, reason)`` per quarantined disk entry.
-        self.quarantine_log: List[Tuple[str, str]] = []
+        self._store = DiskStore(
+            disk_dir, "kernel", ("{}.py", "{}.json"), self.stats,
+            version=("emitter", EMITTER_VERSION),
+        )
+        self.disk_dir = self._store.root
         self._entries: "OrderedDict[str, CompiledKernel]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -149,11 +127,10 @@ class KernelCache:
                 self._entries.move_to_end(fingerprint)
                 self.stats.hits += 1
                 return kernel
-        kernel = self._load_from_disk(fingerprint)
+        kernel = self._store.load(fingerprint, self._decode)
         with self._lock:
             if kernel is not None:
                 self.stats.hits += 1
-                self.stats.disk_hits += 1
                 self._insert(fingerprint, kernel)
             else:
                 self.stats.misses += 1
@@ -174,7 +151,15 @@ class KernelCache:
             self.stats.puts += 1
             self._insert(fingerprint, kernel)
         if self.disk_dir is not None:
-            self._store_to_disk(fingerprint, kernel)
+            source = kernel.source.encode("utf-8")
+            meta = json.dumps({
+                **self._store.seal(source),
+                "entry": kernel.entry,
+                "parallel_certified": kernel.parallel_certified,
+                "schedule": [s.to_json() for s in kernel.schedule],
+            })
+            # Source first: the metadata is the commit record.
+            self._store.store(fingerprint, source, meta.encode("utf-8"))
 
     def _insert(self, fingerprint: str, kernel: CompiledKernel) -> None:
         self._entries[fingerprint] = kernel
@@ -187,124 +172,30 @@ class KernelCache:
         with self._lock:
             self._entries.clear()
             self.stats = CacheStats()
-        if disk and self.disk_dir is not None and self.disk_dir.is_dir():
-            for path in self.disk_dir.glob("*.py"):
-                path.unlink(missing_ok=True)
-            for path in self.disk_dir.glob("*.json"):
-                path.unlink(missing_ok=True)
+        self._store.clear(self.stats, disk)
 
-    # ---- disk tier ------------------------------------------------------
+    def _decode(self, source_path: Path, meta_path: Path) -> CompiledKernel:
+        """Validate and re-``exec`` one disk entry; raises on any doubt."""
+        meta = json.loads(meta_path.read_bytes())
+        source = source_path.read_bytes()
+        self._store.check(meta, source)
+        text = source.decode("utf-8")
+        namespace: Dict[str, Any] = {}
+        exec(compile(text, "<repro-cached>", "exec"), namespace)  # noqa: S102
+        namespace["__source__"] = text
+        entry = meta.get("entry")
+        if not isinstance(entry, str) or entry not in namespace:
+            raise CorruptEntry(f"cached namespace lacks entry point {entry!r}")
+        kernel = CompiledKernel(text, namespace, entry)
+        if meta.get("parallel_certified"):
+            kernel.certify_parallel()
+        if meta.get("schedule"):
+            from repro.core.scheduling import ScheduleStamp
 
-    def _paths(self, fingerprint: str) -> tuple:
-        assert self.disk_dir is not None
-        return (
-            self.disk_dir / f"{fingerprint}.py",
-            self.disk_dir / f"{fingerprint}.json",
-        )
-
-    def _store_to_disk(self, fingerprint: str, kernel: CompiledKernel) -> None:
-        source_path, meta_path = self._paths(fingerprint)
-        meta = json.dumps({
-            "entry": kernel.entry,
-            "emitter": EMITTER_VERSION,
-            "sha256": _source_digest(kernel.source),
-            "parallel_certified": bool(
-                getattr(kernel, "parallel_certified", False)
-            ),
-            "schedule": [
-                s.to_json() for s in getattr(kernel, "schedule", [])
-            ],
-        })
-        try:
-            maybe_inject("cache.disk-write", fingerprint=fingerprint)
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
-            # Atomic writes: a crash mid-write can never leave a torn
-            # entry under the final name. The temp name is unique per
-            # writer (pid + thread), so concurrent writers of the same
-            # fingerprint never interleave on one temp file — last
-            # rename wins and every rename installs a complete entry.
-            suffix = f".{os.getpid()}.{threading.get_ident()}.tmp"
-            for path, text in ((source_path, kernel.source), (meta_path, meta)):
-                tmp = path.with_name(path.name + suffix)
-                tmp.write_text(text)
-                os.replace(tmp, path)
-        except (OSError, InjectedFault):
-            self.stats.disk_errors += 1  # degrade to memory-only
-
-    def _load_from_disk(self, fingerprint: str) -> Optional[CompiledKernel]:
-        if self.disk_dir is None:
-            return None
-        source_path, meta_path = self._paths(fingerprint)
-        try:
-            maybe_inject("cache.disk-read", fingerprint=fingerprint)
-        except InjectedFault:
-            self.stats.disk_errors += 1
-            return None
-        if not (source_path.exists() or meta_path.exists()):
-            return None  # clean miss: the pair was never written
-        try:
-            meta = json.loads(meta_path.read_text())
-            source = source_path.read_text()
-            if meta.get("emitter") != EMITTER_VERSION:
-                raise CorruptCacheEntry(
-                    f"emitter version skew: entry has "
-                    f"{meta.get('emitter')!r}, current is {EMITTER_VERSION!r}"
-                )
-            if meta.get("sha256") != _source_digest(source):
-                raise CorruptCacheEntry(
-                    "source checksum mismatch (truncated or corrupted entry)"
-                )
-            namespace: Dict[str, Any] = {}
-            exec(compile(source, "<repro-cached>", "exec"), namespace)  # noqa: S102
-            namespace["__source__"] = source
-            entry = meta.get("entry")
-            if not isinstance(entry, str) or entry not in namespace:
-                raise CorruptCacheEntry(
-                    f"cached namespace lacks entry point {entry!r}"
-                )
-            kernel = CompiledKernel(source, namespace, entry)
-            if meta.get("parallel_certified"):
-                kernel.certify_parallel()
-            if meta.get("schedule"):
-                from repro.core.scheduling import ScheduleStamp
-
-                kernel.schedule = [
-                    ScheduleStamp.from_json(s) for s in meta["schedule"]
-                ]
-        except Exception as exc:  # noqa: BLE001 - any bad entry is a miss
-            self._quarantine(fingerprint, f"{type(exc).__name__}: {exc}")
-            return None
+            kernel.schedule = [
+                ScheduleStamp.from_json(s) for s in meta["schedule"]
+            ]
         return kernel
-
-    def _quarantine(self, fingerprint: str, reason: str) -> None:
-        """Move a bad entry aside so it can fail at most once."""
-        self.stats.quarantined += 1
-        self.quarantine_log.append((fingerprint, reason))
-        qdir = self.disk_dir / "quarantine"
-        for path in self._paths(fingerprint):
-            try:
-                if path.exists():
-                    qdir.mkdir(parents=True, exist_ok=True)
-                    os.replace(path, qdir / path.name)
-            except OSError:
-                try:  # cannot even move it: drop it so it never re-trips
-                    path.unlink(missing_ok=True)
-                except OSError:
-                    pass
-
-    def events(self) -> List[Any]:
-        """RS004 diagnostics for every quarantined entry (lazy import so
-        the cache module itself stays analysis-free)."""
-        from repro.analysis.diagnostics import Diagnostic
-
-        return [
-            Diagnostic(
-                "RS004",
-                f"quarantined disk-cache entry {fp[:12]}…: {reason}",
-                severity="warning",
-            )
-            for fp, reason in self.quarantine_log
-        ]
 
 
 _default_cache = KernelCache()

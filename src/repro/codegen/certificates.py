@@ -16,40 +16,32 @@ parallel race check came back clean. A compile requesting *more*
 verification than the record covers runs the missing checks and widens
 the record.
 
-Disk tier (PR 10): with ``disk_dir`` set, every record is also written
-through to ``<disk_dir>/<fingerprint>.cert.json`` so a pipeline
-certified clean in one process never re-validates in another — the
-warm path of the compile service with ``validate_passes=True``. The
-tier is hardened exactly like the kernel cache's: entries are written
-atomically (temp file + rename) with a SHA-256 checksum of the
-certificate payload plus a schema version, loads validate both before
-trusting anything, and a truncated/corrupted/version-skewed entry is
-quarantined (moved to ``<disk_dir>/quarantine/``) and treated as a
-miss. I/O failures — including injected ``cache.disk-read`` /
-``cache.disk-write`` faults, which fire here with
-``kind="certificate"`` context — degrade the memo to memory-only; they
-never crash a compile.
+Disk tier: with ``disk_dir`` set, every record is also written through
+to ``<disk_dir>/<fingerprint>.cert.json`` so a pipeline certified clean
+in one process never re-validates in another — the warm path of the
+compile service with ``validate_passes=True``. The tier is a
+:class:`~repro.runtime.diskstore.DiskStore` (atomic writes, schema
+version + SHA-256 envelope, quarantine, memory-only degradation); this
+module only defines a certificate's JSON payload.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set
 
-from repro.runtime.resilience.faults import InjectedFault, maybe_inject
+from repro.runtime.diskstore import CorruptEntry, DiskBacked, DiskStats, DiskStore
 
 #: Bump when the on-disk certificate payload shape changes; skewed
 #: entries are quarantined like corrupted ones.
 CERT_SCHEMA_VERSION = 1
 
 
-class CorruptCertificateEntry(Exception):
-    """A disk certificate failed checksum/schema validation."""
+class CorruptCertificateEntry(CorruptEntry):
+    """A disk certificate failed checksum/schema/shape validation."""
 
 
 @dataclass
@@ -98,25 +90,19 @@ class Certificate:
         return cls(set(check_levels), validated, parallel_clean)
 
 
-def _payload_digest(payload: str) -> str:
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def _canonical(snapshot: Any) -> bytes:
+    """The bytes a certificate's checksum is taken over."""
+    return json.dumps(snapshot, sort_keys=True).encode("utf-8")
 
 
 @dataclass
-class MemoStats:
+class MemoStats(DiskStats):
     hits: int = 0
     misses: int = 0
     records: int = 0
-    #: Memory misses satisfied by the disk tier.
-    disk_hits: int = 0
-    #: Disk reads/writes that failed outright (I/O error or injected
-    #: fault); the memo degraded to memory-only for that operation.
-    disk_errors: int = 0
-    #: Disk entries that failed validation and were quarantined.
-    quarantined: int = 0
 
 
-class CertificateMemo:
+class CertificateMemo(DiskBacked):
     """Thread-safe fingerprint -> :class:`Certificate` map.
 
     With ``disk_dir`` set, records write through to a checksummed disk
@@ -125,11 +111,14 @@ class CertificateMemo:
     """
 
     def __init__(self, disk_dir: Optional[Path] = None) -> None:
-        self.disk_dir = Path(disk_dir) if disk_dir else None
-        self._entries: Dict[str, Certificate] = {}
         self.stats = MemoStats()
-        #: ``(fingerprint, reason)`` per quarantined disk entry.
-        self.quarantine_log: List[Tuple[str, str]] = []
+        self._store = DiskStore(
+            disk_dir, "certificate", ("{}.cert.json",), self.stats,
+            version=("schema", CERT_SCHEMA_VERSION),
+            corrupt=CorruptCertificateEntry,
+        )
+        self.disk_dir = self._store.root
+        self._entries: Dict[str, Certificate] = {}
         self._lock = threading.Lock()
 
     def get(self, fingerprint: str) -> Optional[Certificate]:
@@ -138,18 +127,13 @@ class CertificateMemo:
             if cert is not None:
                 self.stats.hits += 1
                 return cert
-        cert = self._load_from_disk(fingerprint)
+        cert = self._store.load(fingerprint, self._decode)
         with self._lock:
             if cert is not None:
                 # A concurrent record may have widened the in-memory
                 # entry meanwhile; never narrow it with the disk copy.
-                existing = self._entries.get(fingerprint)
-                if existing is not None:
-                    cert = existing
-                else:
-                    self._entries[fingerprint] = cert
+                cert = self._entries.setdefault(fingerprint, cert)
                 self.stats.hits += 1
-                self.stats.disk_hits += 1
             else:
                 self.stats.misses += 1
             return cert
@@ -181,117 +165,26 @@ class CertificateMemo:
                 cert.parallel_clean = parallel_clean
             snapshot = cert.to_json()
         if self.disk_dir is not None:
-            self._store_to_disk(fingerprint, snapshot)
+            self._store.store(fingerprint, json.dumps({
+                **self._store.seal(_canonical(snapshot)), "cert": snapshot,
+            }, sort_keys=True).encode("utf-8"))
         return cert
 
     def clear(self, disk: bool = False) -> None:
         with self._lock:
             self._entries.clear()
             self.stats = MemoStats()
-            self.quarantine_log = []
-        if disk and self.disk_dir is not None and self.disk_dir.is_dir():
-            for path in self.disk_dir.glob("*.cert.json"):
-                path.unlink(missing_ok=True)
+        self._store.clear(self.stats, disk)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    # ---- disk tier ------------------------------------------------------
-
-    def _path(self, fingerprint: str) -> Path:
-        assert self.disk_dir is not None
-        return self.disk_dir / f"{fingerprint}.cert.json"
-
-    def _store_to_disk(self, fingerprint: str, snapshot: Dict[str, Any]) -> None:
-        payload = json.dumps(snapshot, sort_keys=True)
-        text = json.dumps({
-            "schema": CERT_SCHEMA_VERSION,
-            "sha256": _payload_digest(payload),
-            "cert": snapshot,
-        }, sort_keys=True)
-        path = self._path(fingerprint)
-        try:
-            maybe_inject(
-                "cache.disk-write", fingerprint=fingerprint, kind="certificate"
-            )
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
-            # Atomic write: a crash mid-write can never leave a torn
-            # certificate under the final name. Unique temp name per
-            # writer (pid + thread) so concurrent recorders of the same
-            # fingerprint never interleave on one temp file.
-            tmp = path.with_name(
-                f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-            )
-            tmp.write_text(text)
-            os.replace(tmp, path)
-        except (OSError, InjectedFault):
-            with self._lock:
-                self.stats.disk_errors += 1  # degrade to memory-only
-
-    def _load_from_disk(self, fingerprint: str) -> Optional[Certificate]:
-        if self.disk_dir is None:
-            return None
-        path = self._path(fingerprint)
-        try:
-            maybe_inject(
-                "cache.disk-read", fingerprint=fingerprint, kind="certificate"
-            )
-        except InjectedFault:
-            with self._lock:
-                self.stats.disk_errors += 1
-            return None
-        if not path.exists():
-            return None  # clean miss: never recorded on disk
-        try:
-            wrapper = json.loads(path.read_text())
-            if wrapper.get("schema") != CERT_SCHEMA_VERSION:
-                raise CorruptCertificateEntry(
-                    f"schema skew: entry has {wrapper.get('schema')!r}, "
-                    f"current is {CERT_SCHEMA_VERSION!r}"
-                )
-            snapshot = wrapper.get("cert")
-            payload = json.dumps(snapshot, sort_keys=True)
-            if wrapper.get("sha256") != _payload_digest(payload):
-                raise CorruptCertificateEntry(
-                    "payload checksum mismatch (truncated or corrupted "
-                    "certificate)"
-                )
-            return Certificate.from_json(snapshot)
-        except Exception as exc:  # noqa: BLE001 - any bad entry is a miss
-            self._quarantine(fingerprint, f"{type(exc).__name__}: {exc}")
-            return None
-
-    def _quarantine(self, fingerprint: str, reason: str) -> None:
-        """Move a bad entry aside so it can fail at most once."""
-        with self._lock:
-            self.stats.quarantined += 1
-            self.quarantine_log.append((fingerprint, reason))
-        qdir = self.disk_dir / "quarantine"
-        path = self._path(fingerprint)
-        try:
-            if path.exists():
-                qdir.mkdir(parents=True, exist_ok=True)
-                os.replace(path, qdir / path.name)
-        except OSError:
-            try:  # cannot even move it: drop it so it never re-trips
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-
-    def events(self) -> List[Any]:
-        """RS004 diagnostics for every quarantined certificate (lazy
-        import mirrors :meth:`repro.codegen.cache.KernelCache.events`)."""
-        from repro.analysis.diagnostics import Diagnostic
-
-        return [
-            Diagnostic(
-                "RS004",
-                f"quarantined disk certificate {fp[:12]}…: {reason}",
-                severity="warning",
-            )
-            for fp, reason in self.quarantine_log
-        ]
+    def _decode(self, path: Path) -> Certificate:
+        wrapper = json.loads(path.read_bytes())
+        snapshot = wrapper.get("cert")
+        self._store.check(wrapper, _canonical(snapshot))
+        return Certificate.from_json(snapshot)
 
 
 _default_memo = CertificateMemo()

@@ -292,25 +292,9 @@ class StencilCompiler:
         ``validate_passes``, the gate and the validator are skipped even
         though the kernel cache missed — re-verifying an
         already-certified module proves nothing new.
-
-        With ``options.parallel`` the lowered module must additionally
-        pass the race analyzer before the kernel is certified for
-        multi-threaded wavefront dispatch; an IP-diagnostic leaves the
-        kernel uncertified (the runtime then executes its groups
-        sequentially and records RS011). The static wavefront schedules
-        are stamped onto ``kernel.schedule``.
         """
         o = self.options
-        fingerprint = None
-        cert = None
-        memo = None
-        if o.use_cache or o.parallel or o.validate_passes or o.check_level != "off":
-            from repro.codegen.cache import module_fingerprint
-            from repro.codegen.certificates import default_memo
-
-            fingerprint = module_fingerprint(module, entry, o.cache_key())
-            memo = default_memo()
-            cert = memo.get(fingerprint)
+        fingerprint, cert = self.certificate(module, entry, always=o.use_cache)
         if o.use_cache:
             from repro.codegen.cache import default_cache
 
@@ -318,17 +302,63 @@ class StencilCompiler:
             kernel = cache.get(fingerprint)
             if kernel is not None:
                 return kernel
-        skip_gate = (
-            o.check_level != "off"
-            and cert is not None
-            and cert.covers_gate(o.check_level)
+        self.lower(module, *self.verification_skips(cert))
+        kernel = self.finish(module, entry, fingerprint, cert)
+        if o.use_cache:
+            cache.put(fingerprint, kernel)
+        return kernel
+
+    # ---- shared with repro.runtime.resilience.driver.ResilientCompiler ---
+
+    def certificate(
+        self, module: ModuleOp, entry: str = "kernel", always: bool = False
+    ):
+        """``(fingerprint, certificate or None)`` of the unlowered module
+        under these options, from the process-wide memo — ``(None,
+        None)`` when the options ask for nothing a certificate records,
+        unless ``always``."""
+        o = self.options
+        if not (always or o.parallel or o.validate_passes or o.check_level != "off"):
+            return None, None
+        from repro.codegen.cache import module_fingerprint
+        from repro.codegen.certificates import default_memo
+
+        fingerprint = module_fingerprint(module, entry, o.cache_key())
+        return fingerprint, default_memo().get(fingerprint)
+
+    def verification_skips(self, cert) -> Tuple[bool, bool]:
+        """``(skip_gate, skip_validation)``: which requested checks
+        ``cert`` already covers."""
+        o = self.options
+        if cert is None:
+            return False, False
+        return (
+            o.check_level != "off" and cert.covers_gate(o.check_level),
+            o.validate_passes and cert.validated,
         )
-        skip_tv = o.validate_passes and cert is not None and cert.validated
-        self.lower(module, skip_gate=skip_gate, skip_validation=skip_tv)
-        kernel = compile_function(module, entry)
+
+    def finish(
+        self,
+        lowered: ModuleOp,
+        entry: str = "kernel",
+        fingerprint: Optional[str] = None,
+        cert=None,
+    ) -> CompiledKernel:
+        """Everything after lowering: emit, then widen the certificate
+        of ``fingerprint`` (if the caller looked one up) with what this
+        compile proved. With ``options.parallel`` the lowered module
+        must also pass the race analyzer (or carry a certificate that it
+        did) before the kernel is certified for multi-threaded wavefront
+        dispatch; an IP-diagnostic leaves it uncertified (the runtime
+        then runs its groups sequentially and records RS011). The static
+        wavefront schedules are stamped onto ``kernel.schedule``.
+        """
+        o = self.options
+        skip_gate, skip_tv = self.verification_skips(cert)
+        kernel = compile_function(lowered, entry)
         parallel_clean = None
         if o.parallel:
-            kernel.schedule = extract_schedule_stamps(module)
+            kernel.schedule = extract_schedule_stamps(lowered)
             if cert is not None and cert.parallel_clean is not None:
                 parallel_clean = cert.parallel_clean
             elif o.check_level != "off":
@@ -336,20 +366,20 @@ class StencilCompiler:
                 # says it did) and raised on any error — clean by proof.
                 parallel_clean = True
             else:
-                report = self._race_check(module)
+                report = self._race_check(lowered)
                 parallel_clean = not report.has_errors
                 kernel.parallel_diagnostics = report.errors
             if parallel_clean:
                 kernel.certify_parallel()
-        if memo is not None:
-            memo.record(
+        if fingerprint is not None:
+            from repro.codegen.certificates import default_memo
+
+            default_memo().record(
                 fingerprint,
                 check_level=None if skip_gate else o.check_level,
                 validated=o.validate_passes and not skip_tv,
                 parallel_clean=parallel_clean,
             )
-        if o.use_cache:
-            cache.put(fingerprint, kernel)
         return kernel
 
     @staticmethod

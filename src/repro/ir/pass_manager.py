@@ -106,8 +106,8 @@ class PassManager:
             )
 
     def _run_single(self, pass_: Pass, module: Operation) -> None:
-        """One pass plus its verify/validate/gate hooks (the unit the
-        resilient subclass retries from an IR snapshot). The
+        """One pass plus its verify/validate/gate hooks (the unit
+        :meth:`_step` runs and the resilient subclass retries). The
         ``pipeline.pass-run`` / ``pipeline.verify`` fault sites live
         here so chaos tests exercise every pipeline, resilient or not.
         """
@@ -128,6 +128,12 @@ class PassManager:
         if self.gate is not None and self.gate_each:
             self._run_gate(module, after_pass=pass_.name)
 
+    def _step(self, pass_: Pass, module: Operation) -> Operation:
+        """One pass; returns the module to carry on with (the resilient
+        subclass retries from an IR snapshot, swapping the object)."""
+        self._run_single(pass_, module)
+        return module
+
     def run(self, module: Operation) -> Operation:
         # Passes and hooks churn through large volumes of acyclic IR
         # nodes and analysis tuples that reference counting reclaims by
@@ -141,7 +147,7 @@ class PassManager:
             if self.validator is not None:
                 self._run_validator(module, None)
             for pass_ in self.passes:
-                self._run_single(pass_, module)
+                module = self._step(pass_, module)
             if self.gate is not None and not self.gate_each:
                 self._run_gate(module, after_pass=None)
         finally:

@@ -4,7 +4,9 @@ The paper's in-place stencils drive *iterative* solvers (SOR sweeps, the
 LU-SGS time loop, heat-3D implicit steps) whose long runs are exactly
 the workloads that need restartability. :class:`CheckpointManager`
 snapshots the full solver state every ``every`` steps (in memory, and
-optionally as ``.npz`` files for cross-process restart);
+optionally as ``.npz`` files in a :class:`~repro.runtime.diskstore
+.DiskStore` for cross-process restart: atomic writes, and a damaged
+file — the zip CRC is the checksum — is quarantined and skipped);
 :func:`run_checkpointed` is the generic loop driver the ``cfdlib``
 solvers build on: it resumes from the latest checkpoint when one exists,
 so a crash mid-solve costs at most ``every - 1`` recomputed steps and
@@ -14,14 +16,13 @@ functions are deterministic and the snapshots are deep copies).
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.runtime.diskstore import DiskBacked, DiskStats, DiskStore
 from repro.runtime.resilience.faults import maybe_inject
 
 #: Solver state: named arrays (e.g. ``{"u": ...}`` or ``{"t": ..., "dt": ...}``).
@@ -40,7 +41,7 @@ class Checkpoint:
         return {k: np.array(v, copy=True) for k, v in self.arrays.items()}
 
 
-class CheckpointManager:
+class CheckpointManager(DiskBacked):
     """Keeps the latest checkpoints in memory and optionally on disk.
 
     Parameters
@@ -67,7 +68,8 @@ class CheckpointManager:
         if keep < 1:
             raise ValueError("keep must be >= 1")
         self.every = every
-        self.directory = Path(directory) if directory else None
+        self._store = DiskStore(directory, "checkpoint", ("ckpt_{}.npz",))
+        self.directory = self._store.root
         self.keep = keep
         self.latest: Optional[Checkpoint] = None
         #: Steps at which a checkpoint was captured (for tests/reports).
@@ -78,7 +80,11 @@ class CheckpointManager:
         self.latest = cp
         self.saved_steps.append(step)
         if self.directory is not None:
-            self._store_to_disk(cp)
+            if self._store.store(
+                f"{step:08d}", lambda file: np.savez(file, **cp.arrays)
+            ):
+                for stale in self._store.keys()[: -self.keep]:
+                    self._store.remove(stale)
         return cp
 
     def maybe_save(self, step: int, arrays: State) -> Optional[Checkpoint]:
@@ -88,14 +94,12 @@ class CheckpointManager:
         return None
 
     def load_latest(self) -> Optional[Checkpoint]:
-        """The most recent checkpoint: memory first, then the disk tier."""
+        """The most recent checkpoint: memory first, then the newest
+        intact one on disk."""
         if self.latest is not None:
             return self.latest
-        if self.directory is None or not self.directory.is_dir():
-            return None
-        candidates = sorted(self.directory.glob("ckpt_*.npz"))
-        for path in reversed(candidates):
-            cp = self._load_from_disk(path)
+        for key in reversed(self._store.keys()):
+            cp = self._store.load(key, lambda path: _decode(int(key), path))
             if cp is not None:
                 self.latest = cp
                 return cp
@@ -104,41 +108,13 @@ class CheckpointManager:
     def clear(self) -> None:
         self.latest = None
         self.saved_steps = []
-        if self.directory is not None and self.directory.is_dir():
-            for path in self.directory.glob("ckpt_*.npz"):
-                path.unlink(missing_ok=True)
+        self._store.clear(DiskStats(), disk=True)
 
-    # ---- disk tier ------------------------------------------------------
 
-    def _store_to_disk(self, cp: Checkpoint) -> None:
-        assert self.directory is not None
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            path = self.directory / f"ckpt_{cp.step:08d}.npz"
-            # Unique temp name per writer (pid + thread): concurrent
-            # managers checkpointing the same step into a shared
-            # directory never interleave on one temp file, so a reader
-            # only ever sees a complete .npz under the final name.
-            tmp = path.with_name(
-                f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-            )
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **cp.arrays)
-            tmp.replace(path)
-            kept = sorted(self.directory.glob("ckpt_*.npz"))
-            for stale in kept[: -self.keep]:
-                stale.unlink(missing_ok=True)
-        except OSError:
-            pass  # an unwritable directory degrades to memory-only
-
-    def _load_from_disk(self, path: Path) -> Optional[Checkpoint]:
-        try:
-            step = int(path.stem.split("_")[1])
-            with np.load(path) as data:
-                arrays = {k: np.array(data[k], copy=True) for k in data.files}
-        except (OSError, ValueError, IndexError, KeyError):
-            return None  # truncated/corrupt checkpoint: skip it
-        return Checkpoint(step, arrays)
+def _decode(step: int, path: Path) -> Checkpoint:
+    # Opened here, not by numpy, which leaks the handle on a bad zip.
+    with open(path, "rb") as file, np.load(file) as data:
+        return Checkpoint(step, {k: np.array(data[k]) for k in data.files})
 
 
 def run_checkpointed(

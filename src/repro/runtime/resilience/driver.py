@@ -75,11 +75,14 @@ class InterpreterKernel:
 class ResilientPassManager(PassManager):
     """A :class:`PassManager` that retries failed passes from IR snapshots.
 
-    After every successful pass the module is re-printed; a failing pass
-    restores the last-good text (``parse_module``) and retries up to
+    Before every pass the module is printed; a failing pass restores
+    that last-good text (``parse_module``) and retries up to
     ``max_retries`` times with exponential backoff before re-raising.
-    Because restoration swaps the module *object*, :meth:`run` returns
-    the surviving module and callers must use the return value.
+    Only the per-pass :meth:`_step` is overridden, so the pipeline-scoped
+    behaviour of :meth:`PassManager.run` (GC suspension, validator
+    begin, end-of-pipeline gate) is shared. Because restoration swaps
+    the module *object*, :meth:`run` returns the surviving module and
+    callers must use the return value.
     """
 
     def __init__(
@@ -109,17 +112,8 @@ class ResilientPassManager(PassManager):
             **kwargs,
         )
 
-    def run(self, module):
-        if self.validator is not None:
-            self._run_validator(module, None)
+    def _step(self, pass_: Pass, module):
         snapshot = print_module(module)
-        for pass_ in self.passes:
-            module, snapshot = self._run_with_recovery(pass_, module, snapshot)
-        if self.gate is not None and not self.gate_each:
-            self._run_gate(module, after_pass=None)
-        return module
-
-    def _run_with_recovery(self, pass_: Pass, module, snapshot: str):
         for attempt in range(self.max_retries + 1):
             try:
                 self._run_single(pass_, module)
@@ -136,7 +130,7 @@ class ResilientPassManager(PassManager):
                 time.sleep(self.backoff_base * (2 ** attempt))
                 module = parse_module(snapshot)
             else:
-                return module, print_module(module)
+                return module
         raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -284,42 +278,18 @@ class ResilientCompiler:
         entry: str,
         report: RecoveryReport,
     ):
-        from repro.codegen.executor import compile_function
-
         work = parse_module(pristine)
-        skip_gate = skip_tv = False
-        memo = fingerprint = None
-        wants_verification = opts.check_level != "off" or opts.validate_passes
-        if self.use_certificates and wants_verification:
-            from repro.codegen.cache import module_fingerprint
-            from repro.codegen.certificates import default_memo
-
-            fingerprint = module_fingerprint(work, entry, opts.cache_key())
-            memo = default_memo()
-            cert = memo.get(fingerprint)
-            if cert is not None:
-                skip_gate = (
-                    opts.check_level != "off"
-                    and cert.covers_gate(opts.check_level)
-                )
-                skip_tv = opts.validate_passes and cert.validated
+        compiler = StencilCompiler(opts)
+        fingerprint = cert = None
+        if self.use_certificates:
+            fingerprint, cert = compiler.certificate(work, entry)
         pm = ResilientPassManager.from_manager(
-            StencilCompiler(opts).build_pipeline(
-                skip_gate=skip_gate, skip_validation=skip_tv
-            ),
+            compiler.build_pipeline(*compiler.verification_skips(cert)),
             max_retries=self.max_retries,
             backoff_base=self.backoff_base,
             report=report,
         )
-        lowered = pm.run(work)
-        kernel = compile_function(lowered, entry)
-        if memo is not None:
-            memo.record(
-                fingerprint,
-                check_level=None if skip_gate else opts.check_level,
-                validated=opts.validate_passes and not skip_tv,
-            )
-        return kernel
+        return compiler.finish(pm.run(work), entry, fingerprint, cert)
 
     # ---- execution ------------------------------------------------------
 

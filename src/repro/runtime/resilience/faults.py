@@ -1,8 +1,8 @@
 """Deterministic, seedable fault injection for chaos testing.
 
 Production code is instrumented with :func:`maybe_inject` calls at
-*registered fault sites* — named points in the pass manager, the kernel
-cache's disk tier, the executor and the ``cfdlib`` solver loops. With no
+*registered fault sites* — named points in the pass manager, the shared
+disk tier, the executor and the ``cfdlib`` solver loops. With no
 :class:`FaultPlan` installed (the normal case) every call is a cheap
 no-op; the chaos suite installs a plan that fires an
 :class:`InjectedFault` (or a simulated hang) at a chosen invocation of a
@@ -14,8 +14,8 @@ Determinism contract: a plan is a pure function of its specs and seed.
 reproducible.
 
 This module depends only on the standard library so that low-level
-modules (``repro.ir.pass_manager``, ``repro.codegen.cache``) can import
-it without cycles.
+modules (``repro.ir.pass_manager``, ``repro.runtime.diskstore``) can
+import it without cycles.
 """
 
 from __future__ import annotations
@@ -68,11 +68,11 @@ register_fault_site(
 )
 register_fault_site(
     "cache.disk-read", "cache",
-    "the kernel cache's disk tier fails while reading an entry",
+    "a disk tier (context ``kind`` names the tenant) fails reading an entry",
 )
 register_fault_site(
     "cache.disk-write", "cache",
-    "the kernel cache's disk tier fails while persisting an entry",
+    "a disk tier (context ``kind`` names the tenant) fails writing an entry",
 )
 register_fault_site(
     "executor.compile", "executor",

@@ -80,11 +80,11 @@ def _run_processes(target, args_per_proc):
 
 def _cache_process_worker(disk_dir, idx):
     module, kernel = _kernel()
-    cache = KernelCache(persist=True, disk_dir=disk_dir)
+    cache = KernelCache(disk_dir=disk_dir)
     for round_ in range(ROUNDS):
         fp = FINGERPRINTS[(idx + round_) % len(FINGERPRINTS)]
         cache.put(fp, kernel)
-        fresh = KernelCache(persist=True, disk_dir=disk_dir)
+        fresh = KernelCache(disk_dir=disk_dir)
         got = fresh.get(FINGERPRINTS[(idx + round_ + 1) % len(FINGERPRINTS)])
         # A concurrent reader sees a valid entry or a clean miss —
         # never a quarantine (atomic writes leave no torn state).
@@ -97,7 +97,7 @@ def _cache_process_worker(disk_dir, idx):
 class TestKernelCacheConcurrency:
     def test_threaded_writers_shared_instance(self, tmp_path):
         module, kernel = _kernel()
-        cache = KernelCache(persist=True, disk_dir=tmp_path)
+        cache = KernelCache(disk_dir=tmp_path)
 
         def worker(idx):
             for round_ in range(ROUNDS):
@@ -109,7 +109,7 @@ class TestKernelCacheConcurrency:
         assert cache.stats.quarantined == 0
         assert cache.stats.disk_errors == 0
         # Every fingerprint is durably readable by a new process.
-        reborn = KernelCache(persist=True, disk_dir=tmp_path)
+        reborn = KernelCache(disk_dir=tmp_path)
         for fp in FINGERPRINTS:
             assert reborn.get(fp) is not None
         assert reborn.stats.quarantined == 0
@@ -120,11 +120,11 @@ class TestKernelCacheConcurrency:
         module, kernel = _kernel()
 
         def worker(idx):
-            cache = KernelCache(persist=True, disk_dir=tmp_path)
+            cache = KernelCache(disk_dir=tmp_path)
             for round_ in range(ROUNDS):
                 fp = FINGERPRINTS[(idx + round_) % len(FINGERPRINTS)]
                 cache.put(fp, kernel)
-                fresh = KernelCache(persist=True, disk_dir=tmp_path)
+                fresh = KernelCache(disk_dir=tmp_path)
                 fresh.get(FINGERPRINTS[idx % len(FINGERPRINTS)])
                 assert fresh.stats.quarantined == 0, fresh.quarantine_log
 
@@ -136,7 +136,7 @@ class TestKernelCacheConcurrency:
             _cache_process_worker,
             [(tmp_path, i) for i in range(N_PROCS)],
         )
-        reborn = KernelCache(persist=True, disk_dir=tmp_path)
+        reborn = KernelCache(disk_dir=tmp_path)
         for fp in FINGERPRINTS:
             assert reborn.get(fp) is not None
         assert reborn.stats.quarantined == 0
@@ -144,7 +144,7 @@ class TestKernelCacheConcurrency:
 
     def test_corrupt_entry_quarantined_at_most_once(self, tmp_path):
         module, kernel = _kernel()
-        seed = KernelCache(persist=True, disk_dir=tmp_path)
+        seed = KernelCache(disk_dir=tmp_path)
         for fp in FINGERPRINTS:
             seed.put(fp, kernel)
         victim = FINGERPRINTS[0]
@@ -152,7 +152,7 @@ class TestKernelCacheConcurrency:
         src.write_text(src.read_text()[:40])  # torn entry
 
         def worker(idx):
-            cache = KernelCache(persist=True, disk_dir=tmp_path)
+            cache = KernelCache(disk_dir=tmp_path)
             for _ in range(ROUNDS):
                 assert cache.get(victim) is None
 
@@ -162,7 +162,7 @@ class TestKernelCacheConcurrency:
         qdir = tmp_path / "quarantine"
         assert not src.exists()
         assert len(list(qdir.glob(f"{victim}*"))) <= 2  # .py + .json
-        reborn = KernelCache(persist=True, disk_dir=tmp_path)
+        reborn = KernelCache(disk_dir=tmp_path)
         for fp in FINGERPRINTS[1:]:
             assert reborn.get(fp) is not None
         assert reborn.stats.quarantined == 0
@@ -297,13 +297,13 @@ class TestServiceSharedCache:
         async def scenario():
             first = CompileService(
                 ServiceConfig(),
-                cache=KernelCache(persist=True, disk_dir=tmp_path),
+                cache=KernelCache(disk_dir=tmp_path),
             )
             r1 = await first.compile(_module())
             await first.drain()
             second = CompileService(
                 ServiceConfig(),
-                cache=KernelCache(persist=True, disk_dir=tmp_path),
+                cache=KernelCache(disk_dir=tmp_path),
             )
             r2 = await second.compile(_module())
             await second.drain()

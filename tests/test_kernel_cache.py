@@ -108,14 +108,14 @@ class TestDiskPersistence:
     def test_roundtrip_through_disk(self, tmp_path):
         module = _lowered_module()
         fingerprint = module_fingerprint(module)
-        writer = KernelCache(persist=True, disk_dir=tmp_path)
+        writer = KernelCache(disk_dir=tmp_path)
         writer.put(fingerprint, compile_function(module))
         assert (tmp_path / f"{fingerprint}.py").is_file()
         assert (tmp_path / f"{fingerprint}.json").is_file()
 
         # A fresh cache (fresh process stand-in) misses in memory, loads
         # the stored source from disk and promotes it into the LRU.
-        reader = KernelCache(persist=True, disk_dir=tmp_path)
+        reader = KernelCache(disk_dir=tmp_path)
         kernel = reader.get(fingerprint)
         assert kernel is not None
         assert reader.stats.disk_hits == 1
@@ -129,13 +129,13 @@ class TestDiskPersistence:
         np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        cache = KernelCache(persist=True, disk_dir=tmp_path)
+        cache = KernelCache(disk_dir=tmp_path)
         (tmp_path / "deadbeef.py").write_text("x = 1\n")
         (tmp_path / "deadbeef.json").write_text("{not json")
         assert cache.get("deadbeef") is None
 
     def test_clear_disk(self, tmp_path):
-        cache = KernelCache(persist=True, disk_dir=tmp_path)
+        cache = KernelCache(disk_dir=tmp_path)
         cache.put("fp", compile_function(_lowered_module()))
         cache.clear(disk=True)
         assert list(tmp_path.glob("*.py")) == []

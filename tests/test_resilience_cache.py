@@ -35,7 +35,7 @@ def _lowered_module(shape=(8, 8)):
 
 def _populated_cache(tmp_path):
     """A persistent cache holding one entry; returns (cache, fingerprint)."""
-    cache = KernelCache(persist=True, disk_dir=tmp_path)
+    cache = KernelCache(disk_dir=tmp_path)
     module = _lowered_module()
     fp = module_fingerprint(module)
     cache.put(fp, compile_function(module))
@@ -44,7 +44,7 @@ def _populated_cache(tmp_path):
 
 def _fresh_view(tmp_path):
     """A second cache over the same directory (forces the disk path)."""
-    return KernelCache(persist=True, disk_dir=tmp_path)
+    return KernelCache(disk_dir=tmp_path)
 
 
 class TestDiskRoundTrip:
@@ -126,12 +126,34 @@ class TestCorruptedEntries:
         assert fresh.get(fp) is None
         assert fresh.stats.quarantined == 1
 
-    def test_missing_meta_with_source_quarantined(self, tmp_path):
+    def test_missing_meta_with_source_is_a_clean_miss(self, tmp_path):
+        # The metadata is the commit record: a source without it is an
+        # entry that was never (or not yet) installed, not a corrupt one.
         _, fp = _populated_cache(tmp_path)
         (tmp_path / f"{fp}.json").unlink()
         fresh = _fresh_view(tmp_path)
         assert fresh.get(fp) is None
-        assert fresh.stats.quarantined == 1
+        assert fresh.stats.quarantined == 0
+        # The orphan source stays put; the next put overwrites it.
+        assert (tmp_path / f"{fp}.py").exists()
+        fresh.put(fp, compile_function(_lowered_module()))
+        assert _fresh_view(tmp_path).get(fp) is not None
+
+    def test_reader_between_the_two_renames(self, tmp_path):
+        # A writer has installed <fp>.py but not yet <fp>.json. The
+        # reader must miss cleanly — not quarantine the half-installed
+        # source — and the completed write must then hit.
+        _, fp = _populated_cache(tmp_path)
+        meta_path = tmp_path / f"{fp}.json"
+        meta = meta_path.read_bytes()
+        meta_path.unlink()
+        reader = _fresh_view(tmp_path)
+        assert reader.get(fp) is None
+        meta_path.write_bytes(meta)  # the writer's second rename lands
+        assert reader.get(fp) is not None
+        assert reader.stats.quarantined == 0
+        assert reader.stats.disk_hits == 1
+        assert not (tmp_path / "quarantine").exists()
 
     def test_missing_both_files_is_a_clean_miss(self, tmp_path):
         fresh = _fresh_view(tmp_path)
@@ -190,7 +212,7 @@ class TestInjectedDiskFaults:
         assert fresh.get(fp) is not None
 
     def test_disk_write_fault_degrades_to_memory_only(self, tmp_path):
-        cache = KernelCache(persist=True, disk_dir=tmp_path)
+        cache = KernelCache(disk_dir=tmp_path)
         module = _lowered_module()
         fp = module_fingerprint(module)
         with injected(FaultPlan([FaultSpec("cache.disk-write", at=1)])):

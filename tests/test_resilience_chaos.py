@@ -92,7 +92,7 @@ def _chaos_pipeline(site):
 
 
 def _chaos_cache_read(site):
-    cache = KernelCache(persist=True, disk_dir=_tmp_dir())
+    cache = KernelCache(disk_dir=_tmp_dir())
     module = _module()
     StencilCompiler(CompileOptions(vectorize=4)).lower(module)
     fp = module_fingerprint(module)
@@ -100,14 +100,14 @@ def _chaos_cache_read(site):
     plan = FaultPlan.seeded(site, seed=SEED)
     with injected(plan):
         for _ in range(4):
-            KernelCache(persist=True, disk_dir=cache.disk_dir).get(fp)
+            KernelCache(disk_dir=cache.disk_dir).get(fp)
     assert plan.fired
     # The entry survives injected read failures: a clean read still hits.
-    assert KernelCache(persist=True, disk_dir=cache.disk_dir).get(fp)
+    assert KernelCache(disk_dir=cache.disk_dir).get(fp)
 
 
 def _chaos_cache_write(site):
-    cache = KernelCache(persist=True, disk_dir=_tmp_dir())
+    cache = KernelCache(disk_dir=_tmp_dir())
     module = _module()
     StencilCompiler(CompileOptions(vectorize=4)).lower(module)
     fp = module_fingerprint(module)
@@ -120,7 +120,7 @@ def _chaos_cache_write(site):
     assert cache.stats.disk_errors >= 1
     # Memory tier never degraded; disk holds the last successful write.
     assert cache.get(fp) is not None
-    assert KernelCache(persist=True, disk_dir=cache.disk_dir).get(fp)
+    assert KernelCache(disk_dir=cache.disk_dir).get(fp)
 
 
 def _chaos_executor(site):

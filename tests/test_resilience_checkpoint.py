@@ -77,6 +77,29 @@ class TestCheckpointManager:
         fresh = CheckpointManager(directory=tmp_path)
         assert fresh.load_latest().step == 4
 
+    @pytest.mark.parametrize("damage", ["truncated", "bit-flipped"])
+    def test_damaged_npz_falls_back_and_is_quarantined(self, tmp_path, damage):
+        # Both used to escape load_latest() as zipfile.BadZipFile ("File
+        # is not a zip file" / "Bad CRC-32 for file 'u.npy'").
+        mgr = CheckpointManager(every=2, directory=tmp_path, keep=3)
+        run_checkpointed(_count_step, {"u": np.zeros(64)}, 6, manager=mgr)
+        path = tmp_path / "ckpt_00000006.npz"
+        blob = bytearray(path.read_bytes())
+        if damage == "truncated":
+            blob = blob[: len(blob) // 2]
+        else:
+            blob[len(blob) // 2] ^= 0xFF  # inside u.npy's array data
+        path.write_bytes(bytes(blob))
+        fresh = CheckpointManager(directory=tmp_path)
+        assert fresh.load_latest().step == 4
+        assert not path.exists()
+        assert (tmp_path / "quarantine" / path.name).exists()
+        assert [e.code for e in fresh.events()] == ["RS004"]
+        # Quarantine is terminal: a second manager sees a clean directory.
+        again = CheckpointManager(directory=tmp_path)
+        assert again.load_latest().step == 4
+        assert again.events() == []
+
     def test_clear_removes_disk_and_memory(self, tmp_path):
         mgr = CheckpointManager(every=1, directory=tmp_path)
         run_checkpointed(_count_step, {"u": np.zeros(4)}, 3, manager=mgr)

@@ -112,6 +112,27 @@ class TestSnapshotRetry:
         assert report.recovered
         assert report.final == "compiled"
 
+    def test_pipeline_scoped_gc_suspension_is_inherited(self):
+        # The resilient manager overrides only the per-pass step, so
+        # PassManager.run's GC suspension covers its passes too.
+        import gc
+
+        from repro.ir.pass_manager import Pass
+        from repro.runtime.resilience.driver import ResilientPassManager
+
+        seen = []
+
+        class Probe(Pass):
+            name = "probe"
+
+            def run(self, module):
+                seen.append(gc.isenabled())
+
+        assert gc.isenabled()
+        ResilientPassManager([Probe()]).run(_module())
+        assert seen == [False]
+        assert gc.isenabled()
+
 
 class TestDegradation:
     def test_persistent_vectorize_fault_degrades_past_vectorization(self):

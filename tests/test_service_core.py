@@ -305,6 +305,54 @@ class TestExecute:
         assert svc.stats.executions == 4
 
 
+class TestOneCompileTail:
+    """Direct, resilient and served compiles share the post-lowering
+    tail (``StencilCompiler.finish``): a ``parallel=True`` kernel comes
+    back certified and schedule-stamped whichever driver built it."""
+
+    def test_parallel_kernels_agree_across_drivers(self):
+        from repro.codegen.certificates import CertificateMemo, set_default_memo
+        from repro.core.pipeline import StencilCompiler
+        from repro.runtime.resilience.driver import ResilientCompiler
+
+        options = replace(OPTIONS, parallel=True, use_cache=False)
+
+        async def serve():
+            svc = _service(options=options)
+            resp = await svc.compile(_module())
+            await svc.drain()
+            assert resp.ok and resp.degraded_to is None
+            return resp.kernel
+
+        drivers = {
+            "direct": lambda: StencilCompiler(options).compile(_module()),
+            "resilient": lambda: ResilientCompiler(options).compile(_module())[0],
+            "served": lambda: asyncio.run(serve()),
+        }
+        kernels = {}
+        for name, build in drivers.items():
+            # A fresh memo per driver: each must run the race check
+            # itself rather than inherit the previous one's verdict.
+            previous = set_default_memo(CertificateMemo())
+            try:
+                kernels[name] = build()
+            finally:
+                set_default_memo(previous)
+
+        direct = kernels["direct"]
+        assert direct.parallel_certified and len(direct.schedule) == 1
+        x, b = _inputs()
+        (expected,) = direct(x.copy(), b.copy(), x.copy())
+        for name in ("resilient", "served"):
+            kernel = kernels[name]
+            assert kernel.parallel_certified == direct.parallel_certified
+            assert [s.to_json() for s in kernel.schedule] == [
+                s.to_json() for s in direct.schedule
+            ], name
+            (got,) = kernel(x.copy(), b.copy(), x.copy())
+            assert np.array_equal(got, expected), name
+
+
 class TestStatsSurface:
     def test_snapshot_and_render(self):
         async def scenario():
