@@ -9,7 +9,9 @@ is translated into Python where
   "vector unit" (C speed);
 * scalar loops become Python ``for`` loops — the "scalar unit" (slow),
   so the vectorized-vs-scalar performance shape of the paper carries
-  over;
+  over. An f64 SSA scalar is a Python ``float``, as in the interpreter:
+  loads are ``.item(...)``, lanes come from one ``tolist()`` per vector,
+  and a scalar op with one user in its block nests into that user;
 * ``cfd.tiled_loop`` becomes a grid loop, its CSR wavefront groups a
   group-ordered loop.
 
@@ -19,25 +21,34 @@ ownership analysis — a value's buffer may be mutated in place iff the
 binding *owns* it (the producer created it fresh) and the mutating op is
 the value's last use in block order; otherwise a ``.copy()`` is emitted.
 Function arguments are never owned, so caller arrays are never mutated.
+
+Deferred stores: a chain of in-place ``tensor.insert``s is held back and
+written as one slice store per row (:class:`_PendingStores`). Until the
+flush — forced by every op that is not a scalar expression and by the end
+of the block — emitted code only reads Python floats/ints and ``tolist()``
+snapshots, never an array. So a lane list and a deferred store cannot
+observe each other: the list was copied out when its vector was bound
+(``vector.transfer_read`` itself is a *view*), and a view read after an
+in-place insert merely sees the older contents its SSA value denotes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dialects.cfd import TiledLoopOp
 from repro.dialects.linalg import GenericOp
 from repro.ir.block import Block
 from repro.ir.module import ModuleOp
 from repro.ir.operation import Operation
-from repro.ir.types import MemRefType, TensorType
-from repro.ir.values import Value
+from repro.ir.types import MemRefType, TensorType, VectorType
+from repro.ir.values import OpResult, Value
 
 
 #: Version of the emission strategy. Part of every kernel-cache
 #: fingerprint: bump it whenever emitted code changes for the same IR, so
 #: persisted cache entries from older emitters are never reused.
-EMITTER_VERSION = "2"
+EMITTER_VERSION = "3"
 
 
 class BackendError(Exception):
@@ -67,8 +78,66 @@ _MATH_FUNCS = {
 }
 
 
+#: Like scalar expressions, these print each operand once (safe to nest into).
+_ELEMENT_OPS = {"tensor.extract", "tensor.insert", "memref.load", "memref.store"}
+
+
 def _is_buffer(t) -> bool:
     return isinstance(t, (TensorType, MemRefType))
+
+
+def _is_scalar_expr(op: Operation) -> bool:
+    """A memory-free op on scalars: nested into a lone user, not emitted
+    when unused, and emitted without flushing pending stores."""
+    return (
+        op.name.startswith(("arith.", "math.")) or op.name == "vector.extract"
+    ) and not isinstance(op.result().type, (TensorType, VectorType))
+
+
+def _const_int(value: Value) -> Optional[int]:
+    if isinstance(value, OpResult) and value.op.name == "arith.constant":
+        return value.op.attributes["value"].value
+    return None
+
+
+def _base_offset(index: Value) -> Tuple[Value, int]:
+    """``index`` as ``base + constant``, peeling one ``arith.addi``."""
+    if isinstance(index, OpResult) and index.op.name == "arith.addi":
+        base, offset = index.op.operands
+        if _const_int(offset) is not None:
+            return base, _const_int(offset)
+    return index, 0
+
+
+class _PendingStores:
+    """One ``tensor.insert`` chain's element stores, by row: a row is keyed
+    by its leading indices (constants by value) and holds one run of
+    consecutive innermost offsets from a common base. Rows coexist only
+    when two of their constant leading indices differ, so regrouping the
+    chain's writes by row never reorders two writes to one cell."""
+
+    def __init__(self, buf: str) -> None:
+        self.buf = buf
+        self.tip: Optional[Value] = None
+        #: lead key -> [base, (offset, index text, value text), ...]
+        self.rows: Dict[tuple, list] = {}
+
+    def add(self, key: tuple, base: Value, *entry) -> bool:
+        row = self.rows.get(key)
+        if row is None:
+            apart = all(
+                any(type(a) is type(b) is int and a != b for a, b in zip(key, k))
+                for k in self.rows
+            )
+            if apart:
+                self.rows[key] = [base, entry]
+            return apart
+        last = row[-1][0]  # a run continues in the direction it started
+        ahead = {2 * last - row[-2][0]} if len(row) > 2 else {last - 1, last + 1}
+        if row[0] is not base or entry[0] not in ahead:
+            return False
+        row.append(entry)
+        return True
 
 
 class Emitter:
@@ -80,6 +149,9 @@ class Emitter:
         self.indent = 0
         self.names: Dict[int, str] = {}
         self.owned: Dict[int, bool] = {}
+        #: id(vector value) -> name of its ``tolist()`` snapshot.
+        self.lists: Dict[int, str] = {}
+        self.pending: Optional[_PendingStores] = None
         self.counter = 0
 
     # ---- infrastructure -------------------------------------------------
@@ -97,11 +169,26 @@ class Emitter:
             self.names[key] = self.fresh()
         return self.names[key]
 
-    def bind(self, value: Value, expr: str, owned: bool = False) -> str:
+    def bind(self, value: Value, expr: str, owned: bool = False) -> None:
+        op, uses = getattr(value, "op", None), value.uses  # no op: block arg
+        if op is not None and _is_scalar_expr(op):
+            if not uses:
+                return
+            user = uses[0].owner
+            # (the length cap bounds parenthesis depth far below CPython's 200)
+            if len(uses) == 1 and user.parent is op.parent and len(expr) < 256 and (
+                user.name in _ELEMENT_OPS or _is_scalar_expr(user)
+            ):
+                self.names[id(value)] = expr
+                return
         n = self.name(value)
         self.emit(f"{n} = {expr}")
         self.owned[id(value)] = owned
-        return n
+        if isinstance(value.type, VectorType) and any(
+            u.owner.name == "vector.extract" and u.owner.result().uses for u in uses
+        ):
+            self.lists[id(value)] = f"{n}_l"
+            self.emit(f"{n}_l = {n}.tolist()")
 
     def is_owned(self, value: Value) -> bool:
         return self.owned.get(id(value), False)
@@ -180,8 +267,6 @@ class Emitter:
             arg_names.append(n)
         self.emit(f"def {fn.sym_name}({', '.join(arg_names)}):")
         self.indent += 1
-        if not fn.body.operations:
-            self.emit("pass")
         self.emit_block_body(fn.body)
         term = fn.body.terminator
         if term is not None and term.name == "func.return":
@@ -192,6 +277,7 @@ class Emitter:
 
     def emit_block_body(self, block: Block) -> None:
         term = block.terminator
+        mark = len(self.lines)
         for op in block.operations:
             if op is term and op.name in (
                 "func.return",
@@ -201,6 +287,9 @@ class Emitter:
             ):
                 break
             self.emit_op(op)
+        self.flush()
+        if len(self.lines) == mark:  # every op nested, unused or absent
+            self.emit("pass")
 
     # ---- dispatch ---------------------------------------------------------
 
@@ -208,12 +297,28 @@ class Emitter:
         handler = getattr(self, "_emit_" + op.name.replace(".", "_"), None)
         if handler is None:
             raise BackendError(f"no backend emission for {op.name!r}")
+        if op.name != "tensor.insert" and not _is_scalar_expr(op):
+            self.flush()
         handler(op)
+
+    def flush(self) -> None:
+        """Write out the pending insert chain, one store per row."""
+        p, self.pending = self.pending, None
+        for key, (base, *run) in (p.rows.items() if p else ()):
+            run.sort()  # backward sweeps chain their lanes descending
+            lo, where, what = run[0]
+            if len(run) > 1:
+                b = self.name(base)
+                where = f"{f'{b} + {lo}' if lo else b}:{b} + {lo + len(run)}"
+                what = "(" + ", ".join(r[2] for r in run) + ")"
+            lead = "".join(f"{i}, " for i in key)
+            self.emit(f"{p.buf}[{lead}{where}] = {what}")
 
     # ---- arith / math -----------------------------------------------------
 
     def _emit_arith_constant(self, op) -> None:
-        self.bind(op.result(), repr(op.attributes["value"].value))
+        value = op.attributes["value"].value
+        self.bind(op.result(), repr(value) if value >= 0 else f"({value!r})")
 
     def _binary(self, op, symbol: str) -> None:
         a, b = self.name(op.operand(0)), self.name(op.operand(1))
@@ -224,11 +329,11 @@ class Emitter:
 
     def _emit_arith_minsi(self, op) -> None:
         a, b = self.name(op.operand(0)), self.name(op.operand(1))
-        self.bind(op.result(), f"({a} if {a} < {b} else {b})")
+        self.bind(op.result(), f"min({a}, {b})")
 
     def _emit_arith_maxsi(self, op) -> None:
         a, b = self.name(op.operand(0)), self.name(op.operand(1))
-        self.bind(op.result(), f"({a} if {a} > {b} else {b})")
+        self.bind(op.result(), f"max({a}, {b})")
 
     def _emit_arith_maximumf(self, op) -> None:
         a, b = self.name(op.operand(0)), self.name(op.operand(1))
@@ -300,8 +405,6 @@ class Emitter:
             yn = self.name(y)
             if yn != n:
                 self.emit(f"{n} = {yn}")
-        if not op.body.operations or len(op.body.operations) == 1:
-            self.emit("pass")
         self.indent -= 1
         for res, n in zip(op.results, carried):
             self.bind(res, n, owned=True)
@@ -314,10 +417,6 @@ class Emitter:
         t_term = op.then_block.terminator
         for n, y in zip(res_names, t_term.operands):
             self.emit(f"{n} = {self.name(y)}")
-        if len(op.then_block.operations) == 0:
-            self.emit("pass")
-        if not res_names and len(op.then_block.operations) <= 1:
-            self.emit("pass")
         self.indent -= 1
         if len(op.regions) > 1:
             self.emit("else:")
@@ -326,8 +425,6 @@ class Emitter:
             e_term = op.else_block.terminator
             for n, y in zip(res_names, e_term.operands):
                 self.emit(f"{n} = {self.name(y)}")
-            if not res_names and len(op.else_block.operations) <= 1:
-                self.emit("pass")
             self.indent -= 1
         for r in op.results:
             self.owned[id(r)] = False  # conservative: may alias either side
@@ -342,8 +439,6 @@ class Emitter:
             self.emit(f"for {iv} in range({lbs[d]}, {ubs[d]}, {steps[d]}):")
             self.indent += 1
         self.emit_block_body(op.body)
-        if len(op.body.operations) <= 1:
-            self.emit("pass")
         self.indent -= rank
 
     # ---- tensor -----------------------------------------------------------------
@@ -365,15 +460,29 @@ class Emitter:
 
     def _emit_tensor_extract(self, op) -> None:
         idx = ", ".join(self.name(o) for o in op.operands[1:])
-        self.bind(op.result(), f"{self.name(op.operand(0))}[{idx}]")
+        self.bind(op.result(), f"{self.name(op.operand(0))}.item({idx})")
 
     def _emit_tensor_insert(self, op) -> None:
-        dest_expr = self.consume(op, 1)
-        n = self.name(op.result())
-        idx = ", ".join(self.name(o) for o in op.operands[2:])
-        self.emit(f"{n} = {dest_expr}")
-        self.emit(f"{n}[{idx}] = {self.name(op.operand(0))}")
-        self.owned[id(op.result())] = True
+        # Deferred: joins the pending chain when it updates its tip in place.
+        dest, (*lead, last) = op.operand(1), op.operands[2:]
+        steal = self.can_steal(dest, op)
+        p = self.pending
+        if p is None or p.tip is not dest or not steal:
+            self.flush()
+            buf = self.name(dest if steal else op.result())
+            if not steal:
+                self.emit(f"{buf} = {self.name(dest)}.copy()")
+            p = self.pending = _PendingStores(buf)
+        key = tuple(self.name(i) if _const_int(i) is None else _const_int(i) for i in lead)
+        base, off = _base_offset(last)
+        store = (key, base, off, self.name(last), self.name(op.operand(0)))
+        if not p.add(*store):
+            self.flush()
+            p = self.pending = _PendingStores(p.buf)
+            p.add(*store)
+        p.tip = op.result()
+        self.names[id(p.tip)] = p.buf
+        self.owned[id(p.tip)] = True
 
     def _slice_expr(self, offs: Sequence[str], sizes: Sequence[str]) -> str:
         return ", ".join(f"{o}:{o} + {s}" for o, s in zip(offs, sizes))
@@ -418,9 +527,7 @@ class Emitter:
     def _emit_memref_dealloc(self, op) -> None:
         self.emit(f"del {self.name(op.operand(0))}")
 
-    def _emit_memref_load(self, op) -> None:
-        idx = ", ".join(self.name(o) for o in op.operands[1:])
-        self.bind(op.result(), f"{self.name(op.operand(0))}[{idx}]")
+    _emit_memref_load = _emit_tensor_extract
 
     def _emit_memref_store(self, op) -> None:
         idx = ", ".join(self.name(o) for o in op.operands[2:])
@@ -482,7 +589,10 @@ class Emitter:
 
     def _emit_vector_extract(self, op) -> None:
         pos = op.attributes["position"].value
-        self.bind(op.result(), f"{self.name(op.operand(0))}[{pos}]")
+        vec = op.operand(0)
+        lanes = self.lists.get(id(vec))  # absent for e.g. a block argument
+        expr = f"{lanes}[{pos}]" if lanes else f"{self.name(vec)}.item({pos})"
+        self.bind(op.result(), expr)
 
     def _emit_vector_fma(self, op) -> None:
         a, b, c = (self.name(op.operand(i)) for i in range(3))

@@ -10,8 +10,9 @@ vectorization factor ``VF``. Per strip:
   vector-typed clone of the payload region (scalars broadcast on demand);
 * the true recurrence — ``L`` accesses within the current row — is
   resolved by ``VF`` *unrolled scalar* updates, each combining its lane of
-  ``temp`` (via ``vector.extract``) with ``tensor.extract`` reads of the
-  just-written elements;
+  ``temp`` (via ``vector.extract``) with the SSA values the earlier lanes
+  just produced (forwarded, not re-read; only the sources lying before
+  the strip are ``tensor.extract``-ed, once, at its head);
 * trailing iterations that do not fill a strip are peeled into a scalar
   loop.
 
@@ -263,9 +264,7 @@ def lower_stencil_vectorized(
         for v in range(nv):
             targets.append(yields[1 + a * nv + v])
     mapped = _emit_vector_clone(sb, op.body, targets, bindings, vf)
-    d_vec = mapped[0]
-    if not isinstance(d_vec.type, VectorType):
-        d_vec = vector.BroadcastOp.build(sb, d_vec, vec_t).result()
+    d_val = mapped[0]
     temp = []
     for v in range(nv):
         acc = b_vecs[v]
@@ -281,6 +280,9 @@ def lower_stencil_vectorized(
         # in-place patterns whose L offsets all leave the row): the whole
         # strip is computed and stored as one vector (§4.1's observation
         # that out-of-place stencils vectorize fully).
+        d_vec = d_val
+        if not isinstance(d_val.type, VectorType):
+            d_vec = vector.BroadcastOp.build(sb, d_val, vec_t).result()
         y_cur = y_strip
         for v in range(nv):
             result_vec = arith.divf(sb, temp[v], d_vec)
@@ -294,16 +296,28 @@ def lower_stencil_vectorized(
         )
         return True
 
-    # Unrolled scalar resolution of the recurrence, lane by lane.
+    # Unrolled scalar resolution of the recurrence, lane by lane. Lane u's
+    # read at in-row offset o is the value lane u+o just produced: forward
+    # it. Sources before the strip are loaded up front from ``y_strip``,
+    # leaving the lanes' inserts one uninterrupted chain.
     recurrent_targets = []
     for a in recurrent:
         for v in range(nv):
             recurrent_targets.append(yields[1 + a * nv + v])
     lanes = range(vf) if sweep == 1 else range(vf - 1, -1, -1)
+    row_offsets = [pattern.accesses[a][0][k - 1] for a in recurrent]
+    lane_vals: Dict[Tuple[int, int], Value] = {}  # (in-strip lane, var)
+    for src in sorted({u + o for u in lanes for o in row_offsets}):
+        if 0 <= src < vf:
+            continue
+        j_src = arith.addi(sb, j0, arith.const_index(sb, src))
+        for v in range(nv):
+            lane_vals[src, v] = tensor.ExtractOp.build(
+                sb, y_strip, [v_consts[v]] + idx_outer + [j_src]
+            ).result()
     y_cur = y_strip
     for u in lanes:
-        u_c = arith.const_index(sb, u)
-        j_u = arith.addi(sb, j0, u_c)
+        j_u = arith.addi(sb, j0, arith.const_index(sb, u))
         lane_bindings: Dict[Value, Value] = {}
         for a in vectorizable:
             for v in range(nv):
@@ -314,25 +328,20 @@ def lower_stencil_vectorized(
             lane_bindings[op.body.arguments[n_access * nv + v]] = (
                 vector.VectorExtractOp.build(sb, center_vecs[v], u).result()
             )
-        for a in recurrent:
-            offset, _tag = pattern.accesses[a]
-            jr = arith.addi(sb, j_u, arith.const_index(sb, offset[k - 1]))
+        for a, o in zip(recurrent, row_offsets):
             for v in range(nv):
-                lane_bindings[op.body.arguments[a * nv + v]] = (
-                    tensor.ExtractOp.build(
-                        sb, y_cur, [v_consts[v]] + idx_outer + [jr]
-                    ).result()
-                )
+                lane_bindings[op.body.arguments[a * nv + v]] = lane_vals[u + o, v]
         rec_vals = _emit_scalar_clone(
             sb, op.body, recurrent_targets, lane_bindings
         )
-        d_u = vector.VectorExtractOp.build(sb, d_vec, u).result()
-        r_i = 0
+        d_u = d_val  # a scalar divisor is every lane's divisor
+        if isinstance(d_val.type, VectorType):
+            d_u = vector.VectorExtractOp.build(sb, d_val, u).result()
         for v in range(nv):
             total = vector.VectorExtractOp.build(sb, temp[v], u).result()
             for i_a in range(len(recurrent)):
                 total = arith.addf(sb, total, rec_vals[i_a * nv + v])
-            val = arith.divf(sb, total, d_u)
+            lane_vals[u, v] = val = arith.divf(sb, total, d_u)
             y_cur = tensor.InsertOp.build(
                 sb, val, y_cur, [v_consts[v]] + idx_outer + [j_u]
             ).result()

@@ -622,3 +622,54 @@ class TestMutantCorpus:
         #  after its target (1, 13) [t=s0.s-1.s1.s1]".
         assert witness.count("[t=") == 2
         assert "source instance" in witness and "target" in witness
+
+
+class TestForwardingMutantEscapesStaticGates:
+    """A miscompile the static layers cannot see, pinned so that nobody
+    assumes they can: TV proves write *order*, the absint provers prove
+    *where* accesses land; neither follows dataflow through SSA scalars.
+    The vectorizer forwards the in-row recurrence as SSA values, so
+    "lane u reads the wrong lane" leaves every anchor where it was."""
+
+    def test_wrong_lane_is_caught_by_the_differential_oracle_only(self):
+        import numpy as np
+
+        from repro.analysis.absint import run_memory_safety
+        from repro.codegen.executor import compile_function
+        from repro.codegen.interpreter import Interpreter, run_function
+        from repro.core.vectorization import VectorizeStencilsPass
+
+        module = _frontend_module()
+        tv = TranslationValidator(fail_fast=False)
+        tv.begin(module)
+        VectorizeStencilsPass(4).run(module)
+        # Lanes chain divf -> addf -> divf; feed lane 2 from lane 0's
+        # value instead of lane 1's (u + o - 1 instead of u + o).
+        lanes = [
+            op for op in module.walk()
+            if op.name == "arith.divf"
+            and any(u.owner.name == "tensor.insert" for u in op.result().uses)
+        ][:4]
+        reader = next(
+            u.owner for u in lanes[1].result().uses
+            if u.owner.name == "arith.addf"
+        )
+        reader.set_operand(
+            list(reader.operands).index(lanes[1].result()), lanes[0].result()
+        )
+        tv.after_pass(module, "vectorize-stencils")
+
+        # Every static layer is clean ...
+        assert _tv_codes(tv) == []
+        assert _error_codes(module) == []
+        assert run_memory_safety(module).diagnostics == []
+        rng = np.random.default_rng(3)
+        x, b = rng.standard_normal((2, 1, 24, 24))
+        checked = Interpreter(module, checked=True)
+        (mutated,) = checked.run("kernel", x, b, x.copy())  # no trap either
+        # ... the emitter agrees with the interpreter on the wrong IR ...
+        (compiled,) = compile_function(module)(x, b, x.copy())
+        np.testing.assert_array_equal(compiled, mutated)
+        # ... and only the reference sweep says it is wrong.
+        (expected,) = run_function(_frontend_module(), "kernel", x, b, x.copy())
+        assert np.abs(mutated - expected).max() > 1e-3

@@ -63,6 +63,27 @@ class TestFingerprint:
         assert cache.get(current) is None
         assert cache.stats.misses == 1
 
+    def test_disk_entry_of_emitter_2_is_a_clean_miss_under_3(self, tmp_path):
+        """A ``<fp>.py``/``.json`` pair persisted by emitter "2" is never
+        looked at by emitter "3": a miss, not a quarantine, file intact."""
+        import json
+
+        from repro.codegen.python_backend import EMITTER_VERSION
+
+        assert EMITTER_VERSION == "3"
+        module = _lowered_module()
+        old = module_fingerprint(module, "kernel", "opts", backend_version="2")
+        KernelCache(disk_dir=tmp_path).put(old, compile_function(module))
+        meta_path = tmp_path / f"{old}.json"
+        meta_path.write_text(
+            json.dumps({**json.loads(meta_path.read_text()), "emitter": "2"})
+        )
+        restarted = KernelCache(disk_dir=tmp_path)
+        assert restarted.get(module_fingerprint(module, "kernel", "opts")) is None
+        assert restarted.stats.misses == 1
+        assert restarted.stats.quarantined == 0 and not restarted.quarantine_log
+        assert meta_path.exists() and (tmp_path / f"{old}.py").exists()
+
 
 class TestKernelCacheLRU:
     def _kernel(self):

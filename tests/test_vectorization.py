@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codegen.executor import compile_function
 from repro.codegen.interpreter import run_function
 from repro.core import frontend
 from repro.core.stencil import (
@@ -211,3 +212,37 @@ class TestVectorizationProperty:
     def test_vectorization_preserves_semantics(self, case):
         pattern, shape, vf = case
         _check(pattern, shape, vf, seed=17)
+
+
+@st.composite
+def _in_row_case(draw):
+    """A random legal 2-D pattern whose L set has in-row offsets: any
+    non-empty subset of {(0,-1), (0,-2), (0,-3)}, optionally reads of the
+    finished row above, and U reads ahead of the sweep."""
+    in_row = draw(st.sets(st.sampled_from([1, 2, 3]), min_size=1))
+    above = draw(st.sets(st.sampled_from([-1, 0, 1])))
+    ahead = draw(st.sets(st.sampled_from([(0, 1), (0, 2), (1, -1), (1, 0)])))
+    pattern = StencilPattern.from_offsets(
+        2,
+        l_offsets=[(0, -o) for o in sorted(in_row)] + [(-1, c) for c in sorted(above)],
+        u_offsets=sorted(ahead),
+    )
+    if draw(st.booleans()):
+        pattern = pattern.inverted()
+    shape = (draw(st.sampled_from([1, 2])), draw(st.integers(5, 8)),
+             draw(st.integers(6, 22)))
+    return pattern, shape, draw(st.sampled_from([2, 3, 4, 8]))
+
+
+class TestForwardedRecurrenceProperty:
+    @given(_in_row_case())
+    @settings(max_examples=25, deadline=None)
+    def test_random_in_row_patterns(self, case):
+        """Forwarded lanes == Eq. 2 on the interpreter, and the emitted
+        scalar unit == the interpreter bit for bit on the same IR."""
+        pattern, shape, vf = case
+        module = _check(pattern, shape, vf, seed=29, nb_var=shape[0])
+        x, b = _fields(shape, 29)
+        (interpreted,) = run_function(module, "kernel", x, b, x.copy())
+        (compiled,) = compile_function(module)(x, b, x.copy())
+        np.testing.assert_array_equal(compiled, interpreted)
