@@ -45,7 +45,7 @@ def test_fig11_case(benchmark, name):
     )
     save_results(
         f"fig11_{name}",
-        {impl: curve for impl, curve in speedups.items()},
+        {"tier": "numpy", **{impl: curve for impl, curve in speedups.items()}},
     )
     # Paper shape: MLIR beats both Pluto configurations at 1 thread
     # (the 9-pt exception in the paper concerns the multithreaded case).
@@ -56,4 +56,4 @@ def test_fig11_case(benchmark, name):
     kernel = build_mlir_kernel(case)
     x, b = case_inputs(case)
     y0 = x.copy()
-    benchmark(lambda: kernel(x, b, y0))
+    benchmark(lambda: kernel.call_tier("numpy", x, b, y0))

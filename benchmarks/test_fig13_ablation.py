@@ -13,6 +13,12 @@ at the paper's 514^3 / (6,12,256) sub-domain grid over the Xeon 6152
 model. Fused configurations stream each sub-domain once instead of once
 per phase, which is what lets them keep scaling past the bandwidth knee
 (the paper's Tr2-vs-Tr1 / Tr4-vs-Tr3 observation).
+
+The curves are priced on the NumPy tier (pinned: repeated calls would
+otherwise tier up mid-measurement). Beside them each configuration is
+timed once more on the native tier, where its loops print as C — the
+paper's ordering on a real scalar/vector unit; a configuration the C
+printer does not cover reads ``None``.
 """
 
 import numpy as np
@@ -36,13 +42,21 @@ THREADS = [1, 2, 4, 8, 16, 24, 32, 44]
 CONFIGS = ("Tr1", "Tr2", "Tr3", "Tr4")
 
 
-def _measure_config(tr: str) -> float:
+def _measure_config(tr: str):
+    """Seconds on the NumPy tier and on the native one (``None`` where
+    the kernel has no native tier on this host)."""
     module = build_heat3d_module(N, STEPS)
     options = ablation_options(tr, OUR_SUBDOMAINS, OUR_TILES, vf=VF)
     kernel = StencilCompiler(options).compile(module, entry="heat")
     t0 = initial_temperature(N)[None]
     dt0 = np.zeros_like(t0)
-    return time_callable(lambda: kernel(t0, dt0), repeats=2)
+    on_numpy = time_callable(
+        lambda: kernel.call_tier("numpy", t0, dt0), repeats=2)
+    on_native = None
+    if kernel.wait_native(120):
+        on_native = time_callable(
+            lambda: kernel.call_tier("native", t0, dt0), repeats=5)
+    return on_numpy, on_native
 
 
 def _paper_profile(tr: str, seconds: float, base: float) -> WorkloadProfile:
@@ -71,7 +85,9 @@ def test_fig13_transformation_ablation(benchmark):
     def run_all():
         return {tr: _measure_config(tr) for tr in CONFIGS}
 
-    seconds = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    both = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    seconds = {tr: both[tr][0] for tr in CONFIGS}
+    native = {tr: both[tr][1] for tr in CONFIGS}
     base = seconds["Tr1"]
     curves = {}
     for tr in CONFIGS:
@@ -94,7 +110,14 @@ def test_fig13_transformation_ablation(benchmark):
             ),
         )
     )
-    save_results("fig13_ablation", curves)
+    print("measured 1-thread seconds per configuration [NumPy tier | native tier]:")
+    for tr in CONFIGS:
+        shown = "-" if native[tr] is None else f"{native[tr] * 1e3:.2f} ms"
+        print(f"  {tr}: {seconds[tr] * 1e3:8.2f} ms | {shown}")
+    save_results("fig13_ablation", {
+        "tier": "numpy", **curves,
+        "measured_seconds": {"numpy": seconds, "native": native},
+    })
 
     # Paper shapes:
     # vectorization dominates at low thread counts...

@@ -80,6 +80,7 @@ def _save_section(section, data):
         merged = json.loads(path.read_text())
     merged[section] = data
     merged["smoke"] = SMOKE
+    merged["tier"] = "numpy"
     save_results("BENCH_pr8_static_cost", merged)
 
 
@@ -135,7 +136,7 @@ def _measure_interleaved(kernels):
     for _ in range(ROUNDS):
         for tiles, kernel in kernels.items():
             start = time.perf_counter()
-            kernel(x, b, x.copy())
+            kernel.call_tier("numpy", x, b, x.copy())  # what py-numpy prices
             elapsed = time.perf_counter() - start
             if best[tiles] is None or elapsed < best[tiles]:
                 best[tiles] = elapsed

@@ -193,6 +193,11 @@ REGISTRY: Dict[str, DiagnosticInfo] = {
               "a request arrived during graceful shutdown; it was "
               "rejected immediately while in-flight requests were "
               "allowed to finish"),
+        _info("RS017", "native tier unavailable; kernel stays on NumPy",
+              "note",
+              "a kernel (or one call) was left on the NumPy tier; the "
+              "reason is one of no-cc, unsupported-op:<name>, build-failed, "
+              "build-timeout, corrupt-so, bad-args"),
         _info("PF001", "working set exceeds the private cache", "error",
               "a tile's halo-inclusive working set is larger than the "
               "machine model's private (L2) cache, so every sweep "

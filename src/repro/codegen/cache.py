@@ -18,9 +18,11 @@ Two tiers:
 * an in-memory LRU (:class:`KernelCache`), the default, process-local;
 * optional on-disk persistence (``disk_dir=``; :func:`default_disk_dir`
   is ``~/.cache/repro-stencils/`` or ``$REPRO_CACHE_DIR``): the emitted
-  source ``<fp>.py`` is stored next to a metadata file ``<fp>.json`` and
-  re-``exec``'d on load, which is orders of magnitude cheaper than
-  re-lowering.
+  source ``<fp>.py`` and the C text of its outlined loops ``<fp>.c`` are
+  stored next to a metadata file ``<fp>.json`` and re-``exec``'d on
+  load, which is orders of magnitude cheaper than re-lowering. The
+  shared objects the native tier builds from ``<fp>.c`` live in the same
+  directory as a tenant of their own (:class:`NativeStore`).
 
 The disk tier is a :class:`~repro.runtime.diskstore.DiskStore`, which
 owns atomic writes, the emitter-version + SHA-256 envelope, quarantine
@@ -44,7 +46,8 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.codegen.executor import CompiledKernel
-from repro.codegen.python_backend import EMITTER_VERSION
+from repro.codegen.native import NativeStore
+from repro.codegen.python_backend import EMITTER_VERSION, EmittedSource
 from repro.ir.module import ModuleOp
 from repro.ir.printer import print_module
 from repro.runtime.diskstore import CorruptEntry, DiskBacked, DiskStats, DiskStore
@@ -111,10 +114,12 @@ class KernelCache(DiskBacked):
         self.max_entries = max_entries
         self.stats = CacheStats()
         self._store = DiskStore(
-            disk_dir, "kernel", ("{}.py", "{}.json"), self.stats,
+            disk_dir, "kernel", ("{}.py", "{}.c", "{}.json"), self.stats,
             version=("emitter", EMITTER_VERSION),
         )
         self.disk_dir = self._store.root
+        #: Where this cache's kernels keep their built ``.so``.
+        self.native = NativeStore(self.disk_dir)
         self._entries: "OrderedDict[str, CompiledKernel]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -151,15 +156,20 @@ class KernelCache(DiskBacked):
             self.stats.puts += 1
             self._insert(fingerprint, kernel)
         if self.disk_dir is not None:
+            kernel.native.store = self.native
             source = kernel.source.encode("utf-8")
+            native = (kernel.native_source or "").encode("utf-8")
             meta = json.dumps({
-                **self._store.seal(source),
+                **self._store.seal(source + native),
+                "native_reason": getattr(kernel.source, "native_reason", None),
                 "entry": kernel.entry,
                 "parallel_certified": kernel.parallel_certified,
                 "schedule": [s.to_json() for s in kernel.schedule],
             })
-            # Source first: the metadata is the commit record.
-            self._store.store(fingerprint, source, meta.encode("utf-8"))
+            # Sources first: the metadata is the commit record.
+            self._store.store(
+                fingerprint, source, native or None, meta.encode("utf-8")
+            )
 
     def _insert(self, fingerprint: str, kernel: CompiledKernel) -> None:
         self._entries[fingerprint] = kernel
@@ -174,12 +184,21 @@ class KernelCache(DiskBacked):
             self.stats = CacheStats()
         self._store.clear(self.stats, disk)
 
-    def _decode(self, source_path: Path, meta_path: Path) -> CompiledKernel:
+    def events(self) -> list:
+        """RS004 for every quarantined kernel entry and shared object."""
+        return super().events() + self.native.events()
+
+    def _decode(
+        self, source_path: Path, native_path: Path, meta_path: Path
+    ) -> CompiledKernel:
         """Validate and re-``exec`` one disk entry; raises on any doubt."""
         meta = json.loads(meta_path.read_bytes())
         source = source_path.read_bytes()
-        self._store.check(meta, source)
-        text = source.decode("utf-8")
+        native = native_path.read_bytes() if native_path.exists() else b""
+        self._store.check(meta, source + native)
+        text = EmittedSource(source.decode("utf-8"))
+        text.native_source = native.decode("utf-8") or None
+        text.native_reason = meta.get("native_reason")
         namespace: Dict[str, Any] = {}
         exec(compile(text, "<repro-cached>", "exec"), namespace)  # noqa: S102
         namespace["__source__"] = text
@@ -187,6 +206,7 @@ class KernelCache(DiskBacked):
         if not isinstance(entry, str) or entry not in namespace:
             raise CorruptEntry(f"cached namespace lacks entry point {entry!r}")
         kernel = CompiledKernel(text, namespace, entry)
+        kernel.native.store = self.native
         if meta.get("parallel_certified"):
             kernel.certify_parallel()
         if meta.get("schedule"):

@@ -15,12 +15,22 @@ is translated into Python where
 * ``cfd.tiled_loop`` becomes a grid loop, its CSR wavefront groups a
   group-ordered loop.
 
+One walk, two printers: :class:`Emitter` owns the traversal — naming,
+ownership, expression nesting, deferred stores — and prints through a
+few *syntax methods* (``declare``, ``block``, ``load``, ``store_row``,
+... and the :data:`FORMATS` table). The C printer
+(:mod:`repro.codegen.c_backend`) overrides only those and is forked over
+the body of every outermost ``cfd.tiled_loop``: the walk that prints
+``def blkN(lin)`` also prints ``int blkN(...)``, same SSA names.
+
 Buffer ownership: tensors are SSA values, but emitting a copy per
 ``tensor.insert`` would be quadratic. The emitter runs a static
 ownership analysis — a value's buffer may be mutated in place iff the
 binding *owns* it (the producer created it fresh) and the mutating op is
 the value's last use in block order; otherwise a ``.copy()`` is emitted.
 Function arguments are never owned, so caller arrays are never mutated.
+A value that merely renames a buffer (a stolen operand, a loop result)
+shares its name: no statement is printed for it.
 
 Deferred stores: a chain of in-place ``tensor.insert``s is held back and
 written as one slice store per row (:class:`_PendingStores`). Until the
@@ -34,7 +44,9 @@ in-place insert merely sees the older contents its SSA value denotes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from contextlib import ExitStack, contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dialects.cfd import TiledLoopOp
 from repro.dialects.linalg import GenericOp
@@ -48,7 +60,7 @@ from repro.ir.values import OpResult, Value
 #: Version of the emission strategy. Part of every kernel-cache
 #: fingerprint: bump it whenever emitted code changes for the same IR, so
 #: persisted cache entries from older emitters are never reused.
-EMITTER_VERSION = "3"
+EMITTER_VERSION = "4"
 
 
 class BackendError(Exception):
@@ -56,27 +68,61 @@ class BackendError(Exception):
     lacks the requested entry point."""
 
 
-_BINOPS = {
-    "arith.addf": "+",
-    "arith.subf": "-",
-    "arith.mulf": "*",
-    "arith.divf": "/",
-    "arith.addi": "+",
-    "arith.subi": "-",
-    "arith.muli": "*",
-    "arith.floordivi": "//",
-    "arith.remi": "%",
-}
+class EmittedSource(str):
+    """The emitted Python text. It carries the C text of the outlined
+    block bodies (``None``: no loop was printable) and, when a loop was
+    left out, why (``unsupported-op:<name>``)."""
+
+    native_source: Optional[str] = None
+    native_reason: Optional[str] = None
+
+
+# ``_PARALLEL_CERTIFIED`` is flipped by CompiledKernel.certify_parallel()
+# once the race analyzer has cleared the lowered module; the dispatcher
+# refuses multi-thread execution until then.
+_HEADER = """\
+import numpy as _np
+from repro.core.scheduling import compute_parallel_blocks as _compute_parallel_blocks
+from repro.runtime.parallel import dispatch_wavefronts as _dispatch_wavefronts
+_PARALLEL_CERTIFIED = False
+
+"""
 
 _CMPOPS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
-_MATH_FUNCS = {
-    "math.sqrt": "_np.sqrt",
-    "math.absf": "_np.abs",
-    "math.exp": "_np.exp",
-    "math.log": "_np.log",
+#: op name -> expression over its printed operands; these also print
+#: as whole-array expressions (``linalg.generic`` payloads).
+_ELEMENTWISE = {
+    "arith.addf": "({0} + {1})",
+    "arith.subf": "({0} - {1})",
+    "arith.mulf": "({0} * {1})",
+    "arith.divf": "({0} / {1})",
+    "arith.addi": "({0} + {1})",
+    "arith.subi": "({0} - {1})",
+    "arith.muli": "({0} * {1})",
+    "arith.floordivi": "({0} // {1})",
+    "arith.remi": "({0} % {1})",
+    "arith.negf": "(-{0})",
+    "arith.maximumf": "_np.maximum({0}, {1})",
+    "arith.minimumf": "_np.minimum({0}, {1})",
+    "math.fma": "({0} * {1} + {2})",
+    "math.powf": "({0} ** {1})",
+    "math.sqrt": "_np.sqrt({0})",
+    "math.absf": "_np.abs({0})",
+    "math.exp": "_np.exp({0})",
+    "math.log": "_np.log({0})",
 }
-
+FORMATS = {
+    **_ELEMENTWISE,
+    "arith.minsi": "min({0}, {1})",
+    "arith.maxsi": "max({0}, {1})",
+    "arith.select": "({1} if {0} else {2})",
+    "arith.index_cast": "int({0})",
+    "arith.sitofp": "float({0})",
+    "vector.fma": "({0} * {1} + {2})",
+    #: tiles along one dimension: (lb, ub, step)
+    "grid": "max(0, -(-({1} - {0}) // {2}))",
+}
 
 #: Like scalar expressions, these print each operand once (safe to nest into).
 _ELEMENT_OPS = {"tensor.extract", "tensor.insert", "memref.load", "memref.store"}
@@ -94,7 +140,8 @@ def _is_scalar_expr(op: Operation) -> bool:
     ) and not isinstance(op.result().type, (TensorType, VectorType))
 
 
-def _const_int(value: Value) -> Optional[int]:
+def _const(value: Value):
+    """The Python number behind an ``arith.constant`` result, else ``None``."""
     if isinstance(value, OpResult) and value.op.name == "arith.constant":
         return value.op.attributes["value"].value
     return None
@@ -104,8 +151,8 @@ def _base_offset(index: Value) -> Tuple[Value, int]:
     """``index`` as ``base + constant``, peeling one ``arith.addi``."""
     if isinstance(index, OpResult) and index.op.name == "arith.addi":
         base, offset = index.op.operands
-        if _const_int(offset) is not None:
-            return base, _const_int(offset)
+        if _const(offset) is not None:
+            return base, _const(offset)
     return index, 0
 
 
@@ -141,18 +188,28 @@ class _PendingStores:
 
 
 class Emitter:
-    """Emits one module as Python source."""
+    """Walks one module and prints it — as Python here; the syntax
+    methods are what :class:`repro.codegen.c_backend.CEmitter` replaces."""
 
-    def __init__(self, module: ModuleOp) -> None:
+    FORMATS = FORMATS
+    #: what opens, fills when empty, and closes a block
+    OPEN, EMPTY, CLOSE = ":", "pass", ""
+
+    def __init__(self, module: ModuleOp, native=None) -> None:
         self.module = module
         self.lines: List[str] = []
         self.indent = 0
         self.names: Dict[int, str] = {}
         self.owned: Dict[int, bool] = {}
-        #: id(vector value) -> name of its ``tolist()`` snapshot.
+        #: id(vector value) -> name of its lane snapshot (``tolist()``).
         self.lists: Dict[int, str] = {}
         self.pending: Optional[_PendingStores] = None
         self.counter = 0
+        #: id(block) -> {id(op): its index}, for can_steal; shared with forks.
+        self.positions: Dict[int, Dict[int, int]] = {}
+        #: Collects the C functions of outlined loops (``None``: off, and
+        #: inside a loop that is already outlined).
+        self.native = native
 
     # ---- infrastructure -------------------------------------------------
 
@@ -164,10 +221,20 @@ class Emitter:
         return f"{prefix}{self.counter}"
 
     def name(self, value: Value) -> str:
-        key = id(value)
-        if key not in self.names:
-            self.names[key] = self.fresh()
-        return self.names[key]
+        n = self.names.get(id(value))
+        return n if n is not None else self.unnamed(value)
+
+    def unnamed(self, value: Value) -> str:
+        """The name of a value met for the first time."""
+        number = _const(value)  # never declared: printed where read
+        n = self.fresh() if number is None else self.literal(number)
+        self.names[id(value)] = n
+        return n
+
+    def alias(self, value: Value, name: str, owned: bool) -> None:
+        """``value`` is the buffer (or variable) already called ``name``."""
+        self.names[id(value)] = name
+        self.owned[id(value)] = owned
 
     def bind(self, value: Value, expr: str, owned: bool = False) -> None:
         op, uses = getattr(value, "op", None), value.uses  # no op: block arg
@@ -175,39 +242,130 @@ class Emitter:
             if not uses:
                 return
             user = uses[0].owner
+            # An index plus a constant is reprinted wherever it is read (as
+            # a lane index it is mostly not: rows print base and offset).
+            shift = op.name == "arith.addi" and _const(op.operand(1)) is not None
             # (the length cap bounds parenthesis depth far below CPython's 200)
-            if len(uses) == 1 and user.parent is op.parent and len(expr) < 256 and (
-                user.name in _ELEMENT_OPS or _is_scalar_expr(user)
-            ):
+            if len(expr) < 256 and (shift or (
+                len(uses) == 1 and user.parent is op.parent
+                and (user.name in _ELEMENT_OPS or _is_scalar_expr(user))
+            )):
                 self.names[id(value)] = expr
                 return
-        n = self.name(value)
-        self.emit(f"{n} = {expr}")
+        self.declare(self.name(value), expr, value.type)
         self.owned[id(value)] = owned
-        if isinstance(value.type, VectorType) and any(
-            u.owner.name == "vector.extract" and u.owner.result().uses for u in uses
-        ):
-            self.lists[id(value)] = f"{n}_l"
-            self.emit(f"{n}_l = {n}.tolist()")
+        self.snapshot_lanes(value)
 
-    def is_owned(self, value: Value) -> bool:
-        return self.owned.get(id(value), False)
+    def snapshot_lanes(self, value: Value) -> None:
+        """Copy a vector's lanes out where it is bound, if any are read."""
+        if isinstance(value.type, VectorType) and any(
+            u.owner.name == "vector.extract" and u.owner.result().uses
+            for u in value.uses
+        ):
+            n = self.name(value)
+            self.lists[id(value)] = f"{n}_l"
+            self.snapshot(n, value.type.shape[0])
+
+    # ---- syntax: what the C printer overrides ---------------------------
+
+    def literal(self, number) -> str:
+        if isinstance(number, float) and not math.isfinite(number):
+            return f'float("{number}")'
+        return repr(number) if number >= 0 else f"({number!r})"
+
+    def operand(self, value: Value) -> str:
+        """``value`` as an operand of an elementwise expression."""
+        return self.name(value)
+
+    def declare(self, name: str, expr: str, type=None, mutable=False) -> None:
+        self.emit(f"{name} = {expr}")
+
+    def assign(self, name: str, expr: str, type=None) -> None:
+        self.emit(f"{name} = {expr}")
+
+    @contextmanager
+    def block(self, header: str) -> Iterator[None]:
+        self.emit(header + self.OPEN)
+        self.indent += 1
+        mark = len(self.lines)
+        yield
+        if len(self.lines) == mark and self.EMPTY:
+            self.emit(self.EMPTY)
+        self.indent -= 1
+        if self.CLOSE:
+            self.emit(self.CLOSE)
+
+    def for_range(self, iv: str, lb: str, ub: str, step: str) -> str:
+        return f"for {iv} in range({lb}, {ub}, {step})"
+
+    def snapshot(self, name: str, lanes: int) -> None:
+        self.emit(f"{name}_l = {name}.tolist()")
+
+    def zeros(self, value: Value, shape: Sequence[str]) -> None:
+        dims = ", ".join(shape) + ("," if len(shape) == 1 else "")
+        self.bind(value, f"_np.zeros(({dims}))", owned=True)
+
+    def copy_buffer(self, name: str, src: str, type) -> None:
+        self.emit(f"{name} = {src}.copy()")
+
+    def dim(self, buf: str, d: int) -> str:
+        return f"{buf}.shape[{d}]"
+
+    def load(self, buf: str, idx: Sequence[str]) -> str:
+        return f"{buf}.item({', '.join(idx)})"
+
+    def store_row(self, buf: str, lead: Sequence, base, run: list) -> None:
+        """One row of deferred stores: ``run`` is sorted ``(offset from
+        base, index text, value text)``; ``base`` is ``None`` for one."""
+        lo, where, what = run[0]
+        if base is not None:
+            where = f"{f'{base} + {lo}' if lo else base}:{base} + {lo + len(run)}"
+            what = "(" + ", ".join(r[2] for r in run) + ")"
+        self.emit(f"{buf}[{''.join(f'{i}, ' for i in lead)}{where}] = {what}")
+
+    def _window(self, offs: Sequence[str], sizes: Sequence[str]) -> str:
+        return ", ".join(f"{o}:{o} + {s}" for o, s in zip(offs, sizes))
+
+    def slice_copy(self, value: Value, src: str, offs, sizes) -> None:
+        self.bind(value, f"{src}[{self._window(offs, sizes)}].copy()", owned=True)
+
+    def slice_store(self, dst: str, offs, sizes, src: str) -> None:
+        self.emit(f"{dst}[{self._window(offs, sizes)}] = {src}")
+
+    def _strip(self, idx: Sequence[str], lanes: str) -> str:
+        return ", ".join([*idx[:-1], f"{idx[-1]}:{idx[-1]} + {lanes}"])
+
+    def vector_view(self, value: Value, src: str, idx, lanes: int) -> None:
+        self.bind(value, f"{src}[{self._strip(idx, str(lanes))}]")
+
+    def vector_store(self, dst: str, idx, vec: str, lanes: int) -> None:
+        self.emit(f"{dst}[{self._strip(idx, f'len({vec})')}] = {vec}")
+
+    def broadcast(self, value: Value, scalar: str, lanes: int) -> None:
+        self.bind(value, f"_np.full({lanes}, {scalar})", owned=True)
+
+    def lane(self, vec: Value, pos: int) -> str:
+        lanes = self.lists.get(id(vec))  # absent for e.g. a block argument
+        return f"{lanes}[{pos}]" if lanes else f"{self.name(vec)}.item({pos})"
 
     # ---- ownership ------------------------------------------------------
 
-    @staticmethod
-    def _position_in(block: Block, op: Operation) -> int:
+    def _position_in(self, block: Block, op: Operation) -> int:
         """Index in ``block`` of ``op``'s ancestor that lives in it."""
         current = op
         while current.parent is not block:
             current = current.parent_op()
             if current is None:
                 return -1
-        return block.index_of(current)
+        index = self.positions.get(id(block))
+        if index is None:  # (the module does not change under the emitter)
+            index = self.positions[id(block)] = {
+                id(o): i for i, o in enumerate(block.operations)}
+        return index[id(current)]
 
     def can_steal(self, value: Value, consumer: Operation) -> bool:
         """May ``consumer`` mutate ``value``'s buffer in place?"""
-        if not self.is_owned(value):
+        if not self.owned.get(id(value), False):
             return False
         if sum(1 for u in value.uses if u.owner is consumer) > 1:
             return False  # e.g. the same tensor as both input and output
@@ -225,59 +383,58 @@ class Emitter:
                 return False
         return True
 
-    def consume(self, op: Operation, operand_index: int) -> str:
-        """An expression for a buffer the caller may mutate."""
+    def take(self, op: Operation, operand_index: int) -> str:
+        """The name of a buffer holding the operand's contents that the
+        caller may mutate: the operand's own when it can be stolen, else
+        a fresh copy."""
         value = op.operand(operand_index)
         n = self.name(value)
         if self.can_steal(value, op):
             return n
-        return f"{n}.copy()"
+        fresh = self.fresh()
+        self.copy_buffer(fresh, n, value.type)
+        return fresh
 
     # ---- top level -------------------------------------------------------
 
-    def run(self) -> str:
-        self.emit("import numpy as _np")
-        self.emit(
-            "from repro.core.scheduling import compute_parallel_blocks "
-            "as _compute_parallel_blocks"
-        )
-        self.emit(
-            "from repro.runtime.parallel import dispatch_wavefronts "
-            "as _dispatch_wavefronts"
-        )
-        # Flipped to True by CompiledKernel.certify_parallel() once the
-        # race analyzer has cleared the lowered module; the dispatcher
-        # refuses multi-thread execution until then.
-        self.emit("_PARALLEL_CERTIFIED = False")
-        self.emit("")
+    def run(self) -> EmittedSource:
+        self.lines = _HEADER.splitlines()
+        shapes = {}
         for op in self.module.body.operations:
             if op.name == "func.func":
                 self.emit_function(op)
+                shapes[op.sym_name] = tuple(
+                    tuple(a.type.shape) if _is_buffer(a.type) else None
+                    for a in op.body.arguments
+                )
             else:
                 raise BackendError(f"unexpected top-level op {op.name}")
-        return "\n".join(self.lines) + "\n"
+        # What CompiledKernel checks before a call may take the native tier.
+        self.emit(f"_ARG_SHAPES = {shapes!r}")
+        source = EmittedSource("\n".join(self.lines) + "\n")
+        if self.native is not None:
+            source.native_source = self.native.text()
+            source.native_reason = self.native.reason
+        return source
 
     def emit_function(self, fn) -> None:
-        args = fn.body.arguments
         arg_names = []
-        for i, a in enumerate(args):
-            n = f"arg{i}_{self.fresh('f')}"
-            self.names[id(a)] = n
-            self.owned[id(a)] = isinstance(a.type, MemRefType)
-            arg_names.append(n)
-        self.emit(f"def {fn.sym_name}({', '.join(arg_names)}):")
-        self.indent += 1
-        self.emit_block_body(fn.body)
-        term = fn.body.terminator
-        if term is not None and term.name == "func.return":
-            rets = ", ".join(self.name(v) for v in term.operands)
-            self.emit(f"return ({rets},)" if term.operands else "return ()")
-        self.indent -= 1
+        for i, a in enumerate(fn.body.arguments):
+            arg_names.append(f"arg{i}_{self.fresh('f')}")
+            self.alias(a, arg_names[-1], isinstance(a.type, MemRefType))
+        # ``_native``: the loaded block library, passed by CompiledKernel
+        # on the calls that take the native tier.
+        arg_names.append("_native=None")
+        with self.block(f"def {fn.sym_name}({', '.join(arg_names)})"):
+            self.emit_block_body(fn.body)
+            term = fn.body.terminator
+            if term is not None and term.name == "func.return":
+                rets = ", ".join(self.name(v) for v in term.operands)
+                self.emit(f"return ({rets},)" if term.operands else "return ()")
         self.emit("")
 
     def emit_block_body(self, block: Block) -> None:
         term = block.terminator
-        mark = len(self.lines)
         for op in block.operations:
             if op is term and op.name in (
                 "func.return",
@@ -288,13 +445,13 @@ class Emitter:
                 break
             self.emit_op(op)
         self.flush()
-        if len(self.lines) == mark:  # every op nested, unused or absent
-            self.emit("pass")
 
     # ---- dispatch ---------------------------------------------------------
 
     def emit_op(self, op: Operation) -> None:
         handler = getattr(self, "_emit_" + op.name.replace(".", "_"), None)
+        if handler is None and op.name in self.FORMATS:
+            handler = self._emit_expression
         if handler is None:
             raise BackendError(f"no backend emission for {op.name!r}")
         if op.name != "tensor.insert" and not _is_scalar_expr(op):
@@ -306,75 +463,32 @@ class Emitter:
         p, self.pending = self.pending, None
         for key, (base, *run) in (p.rows.items() if p else ()):
             run.sort()  # backward sweeps chain their lanes descending
-            lo, where, what = run[0]
-            if len(run) > 1:
-                b = self.name(base)
-                where = f"{f'{b} + {lo}' if lo else b}:{b} + {lo + len(run)}"
-                what = "(" + ", ".join(r[2] for r in run) + ")"
-            lead = "".join(f"{i}, " for i in key)
-            self.emit(f"{p.buf}[{lead}{where}] = {what}")
+            self.store_row(
+                p.buf, key, self.name(base) if len(run) > 1 else None, run
+            )
 
     # ---- arith / math -----------------------------------------------------
 
+    def _emit_expression(self, op) -> None:
+        operands = [self.operand(o) for o in op.operands]
+        self.bind(op.result(), self.FORMATS[op.name].format(*operands))
+
     def _emit_arith_constant(self, op) -> None:
-        value = op.attributes["value"].value
-        self.bind(op.result(), repr(value) if value >= 0 else f"({value!r})")
-
-    def _binary(self, op, symbol: str) -> None:
-        a, b = self.name(op.operand(0)), self.name(op.operand(1))
-        self.bind(op.result(), f"({a} {symbol} {b})")
-
-    def _emit_arith_negf(self, op) -> None:
-        self.bind(op.result(), f"(-{self.name(op.operand(0))})")
-
-    def _emit_arith_minsi(self, op) -> None:
-        a, b = self.name(op.operand(0)), self.name(op.operand(1))
-        self.bind(op.result(), f"min({a}, {b})")
-
-    def _emit_arith_maxsi(self, op) -> None:
-        a, b = self.name(op.operand(0)), self.name(op.operand(1))
-        self.bind(op.result(), f"max({a}, {b})")
-
-    def _emit_arith_maximumf(self, op) -> None:
-        a, b = self.name(op.operand(0)), self.name(op.operand(1))
-        self.bind(op.result(), f"_np.maximum({a}, {b})")
-
-    def _emit_arith_minimumf(self, op) -> None:
-        a, b = self.name(op.operand(0)), self.name(op.operand(1))
-        self.bind(op.result(), f"_np.minimum({a}, {b})")
+        pass  # printed as a literal by name()
 
     def _emit_cmp(self, op) -> None:
         sym = _CMPOPS[op.attributes["predicate"].value]
-        a, b = self.name(op.operand(0)), self.name(op.operand(1))
+        a, b = self.operand(op.operand(0)), self.operand(op.operand(1))
         self.bind(op.result(), f"({a} {sym} {b})")
 
     _emit_arith_cmpf = _emit_cmp
     _emit_arith_cmpi = _emit_cmp
 
-    def _emit_arith_select(self, op) -> None:
-        c = self.name(op.operand(0))
-        a, b = self.name(op.operand(1)), self.name(op.operand(2))
-        self.bind(op.result(), f"({a} if {c} else {b})")
-
-    def _emit_arith_index_cast(self, op) -> None:
-        self.bind(op.result(), f"int({self.name(op.operand(0))})")
-
-    def _emit_arith_sitofp(self, op) -> None:
-        self.bind(op.result(), f"float({self.name(op.operand(0))})")
-
-    def _emit_math_fma(self, op) -> None:
-        a, b, c = (self.name(op.operand(i)) for i in range(3))
-        self.bind(op.result(), f"({a} * {b} + {c})")
-
-    def _emit_math_powf(self, op) -> None:
-        a, b = self.name(op.operand(0)), self.name(op.operand(1))
-        self.bind(op.result(), f"({a} ** {b})")
-
     # ---- func ----------------------------------------------------------------
 
     def _emit_func_call(self, op) -> None:
         callee = op.attributes["callee"].value
-        args = ", ".join(self.name(o) for o in op.operands)
+        args = ", ".join([self.name(o) for o in op.operands] + ["_native=_native"])
         if op.num_results == 0:
             self.emit(f"{callee}({args})")
             return
@@ -389,43 +503,42 @@ class Emitter:
         lb, ub, step = (self.name(op.operand(i)) for i in range(3))
         carried: List[str] = []
         for arg, init in zip(op.body.arguments[1:], op.operands[3:]):
-            n = self.name(arg)
-            if _is_buffer(init.type) and isinstance(init.type, TensorType):
-                self.emit(f"{n} = {self.consume(op, op.operands.index(init))}")
+            if isinstance(init.type, TensorType):
+                n = self.take(op, op.operands.index(init))
             else:
-                self.emit(f"{n} = {self.name(init)}")
-            self.owned[id(arg)] = True
+                n = self.fresh()
+                self.declare(n, self.name(init), init.type, mutable=True)
+            self.alias(arg, n, owned=True)
             carried.append(n)
         iv = self.name(op.body.arguments[0])
-        self.emit(f"for {iv} in range({lb}, {ub}, {step}):")
-        self.indent += 1
-        self.emit_block_body(op.body)
-        term = op.body.terminator
-        for n, y in zip(carried, term.operands):
-            yn = self.name(y)
-            if yn != n:
-                self.emit(f"{n} = {yn}")
-        self.indent -= 1
+        with self.block(self.for_range(iv, lb, ub, step)):
+            self.emit_block_body(op.body)
+            self.rebind(carried, op.body.terminator.operands)
         for res, n in zip(op.results, carried):
-            self.bind(res, n, owned=True)
+            self.alias(res, n, owned=True)
+
+    def rebind(self, names: Sequence[str], yielded: Sequence[Value]) -> List[str]:
+        """Carry the yielded values into the next iteration; returns the
+        names that had to be rebound (a yield that updated its carried
+        buffer in place needs nothing)."""
+        moved = []
+        for n, y in zip(names, yielded):
+            if self.name(y) != n:
+                self.assign(n, self.name(y), y.type)
+                moved.append(n)
+        return moved
 
     def _emit_scf_if(self, op) -> None:
         res_names = [self.name(r) for r in op.results]
-        self.emit(f"if {self.name(op.operand(0))}:")
-        self.indent += 1
-        self.emit_block_body(op.then_block)
-        t_term = op.then_block.terminator
-        for n, y in zip(res_names, t_term.operands):
-            self.emit(f"{n} = {self.name(y)}")
-        self.indent -= 1
+        with self.block(f"if {self.name(op.operand(0))}"):
+            self.emit_block_body(op.then_block)
+            for n, y in zip(res_names, op.then_block.terminator.operands):
+                self.assign(n, self.name(y))
         if len(op.regions) > 1:
-            self.emit("else:")
-            self.indent += 1
-            self.emit_block_body(op.else_block)
-            e_term = op.else_block.terminator
-            for n, y in zip(res_names, e_term.operands):
-                self.emit(f"{n} = {self.name(y)}")
-            self.indent -= 1
+            with self.block("else"):
+                self.emit_block_body(op.else_block)
+                for n, y in zip(res_names, op.else_block.terminator.operands):
+                    self.assign(n, self.name(y))
         for r in op.results:
             self.owned[id(r)] = False  # conservative: may alias either side
 
@@ -434,33 +547,29 @@ class Emitter:
         lbs = [self.name(op.operand(i)) for i in range(rank)]
         ubs = [self.name(op.operand(rank + i)) for i in range(rank)]
         steps = [self.name(op.operand(2 * rank + i)) for i in range(rank)]
-        for d in range(rank):
-            iv = self.name(op.body.arguments[d])
-            self.emit(f"for {iv} in range({lbs[d]}, {ubs[d]}, {steps[d]}):")
-            self.indent += 1
-        self.emit_block_body(op.body)
-        self.indent -= rank
+        with ExitStack() as nest:
+            for d in range(rank):
+                iv = self.name(op.body.arguments[d])
+                nest.enter_context(
+                    self.block(self.for_range(iv, lbs[d], ubs[d], steps[d])))
+            self.emit_block_body(op.body)
 
     # ---- tensor -----------------------------------------------------------------
 
-    def _shape_expr(self, op, result_type) -> str:
-        dims = []
+    def _shape(self, op, result_type) -> List[str]:
         dyn = iter(self.name(o) for o in op.operands)
-        for d in result_type.shape:
-            dims.append(next(dyn) if d == -1 else str(d))
-        return "(" + ", ".join(dims) + ("," if len(dims) == 1 else "") + ")"
+        return [next(dyn) if d == -1 else str(d) for d in result_type.shape]
 
     def _emit_tensor_empty(self, op) -> None:
-        shape = self._shape_expr(op, op.result().type)
-        self.bind(op.result(), f"_np.zeros({shape})", owned=True)
+        self.zeros(op.result(), self._shape(op, op.result().type))
 
     def _emit_tensor_dim(self, op) -> None:
         d = op.attributes["dim"].value
-        self.bind(op.result(), f"{self.name(op.operand(0))}.shape[{d}]")
+        self.bind(op.result(), self.dim(self.name(op.operand(0)), d))
 
     def _emit_tensor_extract(self, op) -> None:
-        idx = ", ".join(self.name(o) for o in op.operands[1:])
-        self.bind(op.result(), f"{self.name(op.operand(0))}.item({idx})")
+        idx = [self.name(o) for o in op.operands[1:]]
+        self.bind(op.result(), self.load(self.name(op.operand(0)), idx))
 
     def _emit_tensor_insert(self, op) -> None:
         # Deferred: joins the pending chain when it updates its tip in place.
@@ -469,11 +578,8 @@ class Emitter:
         p = self.pending
         if p is None or p.tip is not dest or not steal:
             self.flush()
-            buf = self.name(dest if steal else op.result())
-            if not steal:
-                self.emit(f"{buf} = {self.name(dest)}.copy()")
-            p = self.pending = _PendingStores(buf)
-        key = tuple(self.name(i) if _const_int(i) is None else _const_int(i) for i in lead)
+            p = self.pending = _PendingStores(self.take(op, 1))
+        key = tuple(self.name(i) if _const(i) is None else _const(i) for i in lead)
         base, off = _base_offset(last)
         store = (key, base, off, self.name(last), self.name(op.operand(0)))
         if not p.add(*store):
@@ -481,48 +587,30 @@ class Emitter:
             p = self.pending = _PendingStores(p.buf)
             p.add(*store)
         p.tip = op.result()
-        self.names[id(p.tip)] = p.buf
-        self.owned[id(p.tip)] = True
+        self.alias(p.tip, p.buf, owned=True)
 
-    def _slice_expr(self, offs: Sequence[str], sizes: Sequence[str]) -> str:
-        return ", ".join(f"{o}:{o} + {s}" for o, s in zip(offs, sizes))
+    def _window_operands(self, op, first: int):
+        rank = (op.num_operands - first) // 2
+        names = [self.name(o) for o in op.operands[first:]]
+        return names[:rank], names[rank:]
 
     def _emit_tensor_extract_slice(self, op) -> None:
-        rank = (op.num_operands - 1) // 2
-        offs = [self.name(o) for o in op.operands[1 : 1 + rank]]
-        sizes = [self.name(o) for o in op.operands[1 + rank :]]
-        src = self.name(op.operand(0))
-        self.bind(
-            op.result(),
-            f"{src}[{self._slice_expr(offs, sizes)}].copy()",
-            owned=True,
-        )
+        offs, sizes = self._window_operands(op, 1)
+        self.slice_copy(op.result(), self.name(op.operand(0)), offs, sizes)
 
     def _emit_tensor_insert_slice(self, op) -> None:
-        rank = (op.num_operands - 2) // 2
-        offs = [self.name(o) for o in op.operands[2 : 2 + rank]]
-        sizes = [self.name(o) for o in op.operands[2 + rank :]]
-        dest = op.operand(1)
-        if self.can_steal(dest, op):
-            # Pure in-place store: the result *is* the destination
-            # buffer, so alias the SSA name instead of emitting a
-            # rebinding assignment (grouped loop bodies rely on this —
-            # a rebind-free body can run its blocks concurrently).
-            n = self.name(dest)
-            self.names[id(op.result())] = n
-        else:
-            n = self.name(op.result())
-            self.emit(f"{n} = {self.name(dest)}.copy()")
-        self.emit(
-            f"{n}[{self._slice_expr(offs, sizes)}] = {self.name(op.operand(0))}"
-        )
-        self.owned[id(op.result())] = True
+        offs, sizes = self._window_operands(op, 2)
+        # In place when the destination can be stolen: the result *is*
+        # that buffer (grouped loop bodies rely on this — a rebind-free
+        # body can run its blocks concurrently).
+        n = self.take(op, 1)
+        self.slice_store(n, offs, sizes, self.name(op.operand(0)))
+        self.alias(op.result(), n, owned=True)
 
     # ---- memref ----------------------------------------------------------
 
     def _emit_memref_alloc(self, op) -> None:
-        shape = self._shape_expr(op, op.result().type)
-        self.bind(op.result(), f"_np.zeros({shape})", owned=True)
+        self.zeros(op.result(), self._shape(op, op.result().type))
 
     def _emit_memref_dealloc(self, op) -> None:
         self.emit(f"del {self.name(op.operand(0))}")
@@ -536,86 +624,54 @@ class Emitter:
         )
 
     def _emit_memref_subview(self, op) -> None:
-        rank = (op.num_operands - 1) // 2
-        offs = [self.name(o) for o in op.operands[1 : 1 + rank]]
-        sizes = [self.name(o) for o in op.operands[1 + rank :]]
+        offs, sizes = self._window_operands(op, 1)
         src = self.name(op.operand(0))
-        self.bind(op.result(), f"{src}[{self._slice_expr(offs, sizes)}]")
+        self.bind(op.result(), f"{src}[{self._window(offs, sizes)}]")
 
     def _emit_memref_copy(self, op) -> None:
         self.emit(
             f"{self.name(op.operand(1))}[...] = {self.name(op.operand(0))}"
         )
 
-    def _emit_memref_dim(self, op) -> None:
-        d = op.attributes["dim"].value
-        self.bind(op.result(), f"{self.name(op.operand(0))}.shape[{d}]")
+    _emit_memref_dim = _emit_tensor_dim
 
     # ---- vector -----------------------------------------------------------
 
     def _emit_vector_transfer_read(self, op) -> None:
-        vf = op.result().type.shape[0]
         idx = [self.name(o) for o in op.operands[1:]]
-        lead = ", ".join(idx[:-1])
-        last = idx[-1]
-        src = self.name(op.operand(0))
-        prefix = f"{lead}, " if lead else ""
-        self.bind(op.result(), f"{src}[{prefix}{last}:{last} + {vf}]")
+        lanes = op.result().type.shape[0]
+        self.vector_view(op.result(), self.name(op.operand(0)), idx, lanes)
 
     def _emit_vector_transfer_write(self, op) -> None:
         idx = [self.name(o) for o in op.operands[2:]]
-        lead = ", ".join(idx[:-1])
-        last = idx[-1]
-        vec = self.name(op.operand(0))
-        vf_expr = f"len({vec})"
-        prefix = f"{lead}, " if lead else ""
-        window = f"{prefix}{last}:{last} + {vf_expr}"
+        vec = op.operand(0)
+        dest = self.take(op, 1) if op.num_results else self.name(op.operand(1))
+        self.vector_store(dest, idx, self.name(vec), vec.type.shape[0])
         if op.num_results:
-            dest_expr = self.consume(op, 1)
-            n = self.name(op.result())
-            self.emit(f"{n} = {dest_expr}")
-            self.emit(f"{n}[{window}] = {vec}")
-            self.owned[id(op.result())] = True
-        else:
-            self.emit(f"{self.name(op.operand(1))}[{window}] = {vec}")
+            self.alias(op.result(), dest, owned=True)
 
     def _emit_vector_broadcast(self, op) -> None:
-        vf = op.result().type.shape[0]
-        self.bind(
-            op.result(),
-            f"_np.full({vf}, {self.name(op.operand(0))})",
-            owned=True,
-        )
+        lanes = op.result().type.shape[0]
+        self.broadcast(op.result(), self.name(op.operand(0)), lanes)
 
     def _emit_vector_extract(self, op) -> None:
         pos = op.attributes["position"].value
-        vec = op.operand(0)
-        lanes = self.lists.get(id(vec))  # absent for e.g. a block argument
-        expr = f"{lanes}[{pos}]" if lanes else f"{self.name(vec)}.item({pos})"
-        self.bind(op.result(), expr)
-
-    def _emit_vector_fma(self, op) -> None:
-        a, b, c = (self.name(op.operand(i)) for i in range(3))
-        self.bind(op.result(), f"({a} * {b} + {c})")
+        self.bind(op.result(), self.lane(op.operand(0), pos))
 
     # ---- linalg (vectorized whole-array emission) ---------------------------
 
     def _emit_linalg_fill(self, op) -> None:
-        out_expr = self.consume(op, 1)
-        n = self.name(op.result())
-        self.emit(f"{n} = {out_expr}")
+        n = self.take(op, 1)
         self.emit(f"{n}[...] = {self.name(op.operand(0))}")
-        self.owned[id(op.result())] = True
+        self.alias(op.result(), n, owned=True)
 
     def _emit_linalg_generic(self, op: GenericOp) -> None:
         n_ins = op.num_ins
         offsets = op.offsets
         margins = op.margins
         rank = op.out_init.type.rank  # type: ignore[union-attr]
-        out_expr = self.consume(op, n_ins)
-        out = self.name(op.result())
-        self.emit(f"{out} = {out_expr}")
-        self.owned[id(op.result())] = True
+        out = self.take(op, n_ins)
+        self.alias(op.result(), out, owned=True)
         los, his = [], []
         for d in range(rank):
             lo = max([0] + [-o[d] for o in offsets])
@@ -646,10 +702,8 @@ class Emitter:
         nv = op.attributes["nbVar"].value
         axis = op.attributes["axis"].value + 1
         rank = op.operand(0).type.rank  # type: ignore[union-attr]
-        b_expr = self.consume(op, 1)
-        b = self.name(op.result())
-        self.emit(f"{b} = {b_expr}")
-        self.owned[id(op.result())] = True
+        b = self.take(op, 1)
+        self.alias(op.result(), b, owned=True)
         x = self.name(op.operand(0))
 
         def face_window(side: int, v: int) -> str:
@@ -677,6 +731,8 @@ class Emitter:
         the expressions of the terminator operands."""
         mapping: Dict[int, str] = {}
         for arg, expr in zip(block.arguments, arg_exprs):
+            if not arg.uses:
+                continue
             n = self.fresh("r")
             self.emit(f"{n} = {expr}")
             mapping[id(arg)] = n
@@ -688,37 +744,22 @@ class Emitter:
         return [mapping.get(id(v), self.names.get(id(v), "?")) for v in term.operands]
 
     def _emit_region_op(self, op: Operation, mapping: Dict[int, str]) -> None:
-        def nm(v: Value) -> str:
-            return mapping.get(id(v)) or self.name(v)
-
-        n = self.fresh("r")
+        args = [mapping.get(id(v)) or self.name(v) for v in op.operands]
         if op.name == "arith.constant":
-            self.emit(f"{n} = {op.attributes['value'].value!r}")
-        elif op.name in _BINOPS:
-            self.emit(f"{n} = {nm(op.operand(0))} {_BINOPS[op.name]} {nm(op.operand(1))}")
-        elif op.name == "arith.negf":
-            self.emit(f"{n} = -{nm(op.operand(0))}")
-        elif op.name == "arith.maximumf":
-            self.emit(f"{n} = _np.maximum({nm(op.operand(0))}, {nm(op.operand(1))})")
-        elif op.name == "arith.minimumf":
-            self.emit(f"{n} = _np.minimum({nm(op.operand(0))}, {nm(op.operand(1))})")
-        elif op.name in _MATH_FUNCS:
-            self.emit(f"{n} = {_MATH_FUNCS[op.name]}({nm(op.operand(0))})")
-        elif op.name == "math.fma":
-            a, b, c = (nm(op.operand(i)) for i in range(3))
-            self.emit(f"{n} = {a} * {b} + {c}")
-        elif op.name == "math.powf":
-            self.emit(f"{n} = {nm(op.operand(0))} ** {nm(op.operand(1))}")
+            expr = repr(op.attributes["value"].value)
+        elif op.name in _ELEMENTWISE:
+            expr = FORMATS[op.name].format(*args)
         elif op.name == "arith.select":
-            c, a, b = (nm(op.operand(i)) for i in range(3))
-            self.emit(f"{n} = _np.where({c}, {a}, {b})")
+            expr = "_np.where({0}, {1}, {2})".format(*args)
         elif op.name in ("arith.cmpf", "arith.cmpi"):
             sym = _CMPOPS[op.attributes["predicate"].value]
-            self.emit(f"{n} = {nm(op.operand(0))} {sym} {nm(op.operand(1))}")
+            expr = f"{args[0]} {sym} {args[1]}"
         else:
             raise BackendError(
                 f"{op.name!r} cannot be emitted as a whole-array expression"
             )
+        n = self.fresh("r")
+        self.emit(f"{n} = {expr}")
         for res in op.results:
             mapping[id(res)] = n
 
@@ -735,108 +776,93 @@ class Emitter:
         )
 
     def _emit_cfd_tiled_loop(self, op: TiledLoopOp) -> None:
-        k = op.rank
         lbs = [self.name(v) for v in op.lbs]
-        ubs = [self.name(v) for v in op.ubs]
         steps = [self.name(v) for v in op.steps]
-        # Bind in args (aliases: read-only inside the body).
+        # In args are aliases (read-only inside the body); out args are
+        # buffers the body updates in place.
         for arg, in_v in zip(op.in_args, op.ins):
-            self.names[id(arg)] = self.name(in_v)
-            self.owned[id(arg)] = False
-        # Bind out args to consumable buffers.
-        out_names = []
-        for j, (arg, out_v) in enumerate(zip(op.out_args, op.outs)):
-            n = self.name(arg)
-            idx = op.operands.index(out_v)
-            self.emit(f"{n} = {self.consume(op, idx)}")
-            self.owned[id(arg)] = True
-            out_names.append(n)
-        grid = [self.fresh("g") for _ in range(k)]
-        for d in range(k):
-            self.emit(
-                f"{grid[d]} = max(0, -(-({ubs[d]} - {lbs[d]}) // {steps[d]}))"
+            self.alias(arg, self.name(in_v), owned=False)
+        outs = [self.take(op, op.operands.index(v)) for v in op.outs]
+        for arg, n in zip(op.out_args, outs):
+            self.alias(arg, n, owned=True)
+        grid = [self.fresh("g") for _ in op.ubs]
+        for d, ub in enumerate(op.ubs):
+            self.declare(
+                grid[d],
+                self.FORMATS["grid"].format(lbs[d], self.name(ub), steps[d]),
             )
         ivs = [self.name(a) for a in op.induction_vars]
-        term = op.body.terminator
+        lin = self.fresh("lin") if op.has_groups else None
+        fn, tile = self.fresh("blk"), (lin, op, grid, lbs, steps, ivs, outs)
+        # The same walk prints the body as the C function ``fn`` too;
+        # ``bound`` binds it to this scope's arrays and scalars (``None``:
+        # the C printer does not cover an op of the body, or is off).
+        native = self.native
+        bound = native and native.function(self, fn, grid, tile)
+        if bound:  # nothing inside the Python twin is outlined again
+            self.native = None
         if op.has_groups:
-            # Emit the block body as a per-block closure and hand the
-            # CSR schedule to the runtime dispatcher: group-by-group,
-            # blocks of one group concurrently when legal, sequentially
-            # otherwise. The closure mutates the out buffers in place;
-            # should the body still rebind an out name (no steal was
-            # possible), the rebind is declared nonlocal and the loop is
-            # marked not-in-place so dispatch never runs it concurrently.
-            go = self.name(op.group_operands[0])
-            gi = self.name(op.group_operands[1])
-            lin = self.fresh("lin")
-            blk = self.fresh("blk")
-            self.emit(f"def {blk}({lin}):")
-            self.indent += 1
-            nonlocal_at = len(self.lines)
-            rem = self.fresh("rem")
-            self.emit(f"{rem} = int({lin})")
-            for d in range(k - 1, -1, -1):
-                c = self.fresh("c")
-                self.emit(f"{c} = {rem} % {grid[d]}")
-                if d > 0:
-                    self.emit(f"{rem} //= {grid[d]}")
-                self.emit(f"{ivs[d]} = {lbs[d]} + {c} * {steps[d]}")
-            self.emit_block_body(op.body)
-            rebinds = []
-            for n, y in zip(out_names, term.operands):
-                yn = self.name(y)
-                if yn != n:
-                    rebinds.append((n, yn))
-            if rebinds:
-                self.lines.insert(
-                    nonlocal_at,
-                    "    " * self.indent
-                    + "nonlocal "
-                    + ", ".join(sorted({n for n, _ in rebinds})),
-                )
-                for n, yn in rebinds:
-                    self.emit(f"{n} = {yn}")
-            self.indent -= 1
+            # The block body is a per-block closure handed, with the CSR
+            # schedule, to the runtime dispatcher: group by group, blocks
+            # of one group concurrently when legal. It mutates the out
+            # buffers in place; should it still rebind an out name (no
+            # steal was possible), the rebind is declared nonlocal and
+            # the loop marked not-in-place so it never runs concurrently.
+            go, gi = (self.name(v) for v in op.group_operands[:2])
+            with self.block(f"def {fn}({lin})"):
+                nonlocal_at = len(self.lines)
+                moved = self.tiles(*tile)
+                if moved:
+                    self.lines.insert(
+                        nonlocal_at,
+                        "    " * self.indent + "nonlocal " + ", ".join(sorted(moved)),
+                    )
+            if bound:
+                with self.block("if _native"):
+                    self.emit(f'{fn} = _native("{fn}", {fn}, {bound})')
             self.emit(
-                f"_dispatch_wavefronts({go}, {gi}, {blk}, "
-                f"inplace={not rebinds}, certified=_PARALLEL_CERTIFIED)"
+                f"_dispatch_wavefronts({go}, {gi}, {fn}, "
+                f"inplace={not moved}, certified=_PARALLEL_CERTIFIED)"
             )
         else:
-            coords = [self.fresh("c") for _ in range(k)]
-            for d in range(k):
-                rng = f"range({grid[d]})"
-                if op.reverse:
-                    rng = f"range({grid[d]} - 1, -1, -1)"
-                self.emit(f"for {coords[d]} in {rng}:")
-                self.indent += 1
-            for d in range(k):
-                self.emit(f"{ivs[d]} = {lbs[d]} + {coords[d]} * {steps[d]}")
+            with ExitStack() as twin:
+                if bound:  # the whole nest is one native call
+                    self.emit(f'{fn} = _native and _native("{fn}", None, {bound})')
+                    with self.block(f"if {fn}"):
+                        self.emit(f"{fn}(0)")
+                    twin.enter_context(self.block("else"))
+                self.tiles(*tile)
+        self.native = native
+        for res, n in zip(op.results, outs):
+            self.alias(res, n, owned=True)
+
+    def tiles(self, lin, op, grid, lbs, steps, ivs, outs) -> List[str]:
+        """The loop body over the tile of linear index ``lin`` or, with
+        ``None``, over every tile in (reverse) grid order; returns the out
+        names the body rebound."""
+        coords = [self.fresh("c") for _ in grid]
+        with ExitStack() as nest:
+            if lin is None:
+                for c, g in zip(coords, grid):
+                    span = (f"{g} - 1", "(-1)", "(-1)") if op.reverse else ("0", g, "1")
+                    nest.enter_context(self.block(self.for_range(c, *span)))
+            else:
+                rem = self.fresh("rem")
+                self.declare(rem, self.FORMATS["arith.index_cast"].format(lin),
+                             mutable=True)
+                for c, g in reversed(list(zip(coords, grid))):
+                    self.declare(c, self.FORMATS["arith.remi"].format(rem, g))
+                    if c is not coords[0]:
+                        self.assign(rem, self.FORMATS["arith.floordivi"].format(rem, g))
+            for iv, lb, c, step in zip(ivs, lbs, coords, steps):
+                self.declare(iv, f"{lb} + {c} * {step}")
             self.emit_block_body(op.body)
-            for n, y in zip(out_names, term.operands):
-                yn = self.name(y)
-                if yn != n:
-                    self.emit(f"{n} = {yn}")
-            self.indent -= k
-        for res, n in zip(op.results, out_names):
-            self.bind(res, n, owned=True)
+            return self.rebind(outs, op.body.terminator.operands)
 
 
-# Wire the generic binary handlers.
-for _op_name, _sym in _BINOPS.items():
-    def _make(sym):
-        def h(self, op):
-            self._binary(op, sym)
-        return h
-    setattr(Emitter, "_emit_" + _op_name.replace(".", "_"), _make(_sym))
+def emit_module(module: ModuleOp) -> EmittedSource:
+    """Emit the whole module as Python source (and, on its
+    ``native_source``, the C text of its outlined loops)."""
+    from repro.codegen.c_backend import CModule
 
-for _op_name, _fn in _MATH_FUNCS.items():
-    def _make_m(fn):
-        def h(self, op):
-            self.bind(op.result(), f"{fn}({self.name(op.operand(0))})")
-        return h
-    setattr(Emitter, "_emit_" + _op_name.replace(".", "_"), _make_m(_fn))
-
-
-def emit_module(module: ModuleOp) -> str:
-    """Emit the whole module as Python source."""
-    return Emitter(module).run()
+    return Emitter(module, CModule()).run()

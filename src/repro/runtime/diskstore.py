@@ -111,10 +111,11 @@ class DiskStore:
     # ---- entries --------------------------------------------------------
 
     def store(
-        self, key: str, *parts: Union[bytes, Callable[[BinaryIO], Any]]
+        self, key: str, *parts: Union[bytes, Callable[[BinaryIO], Any], None]
     ) -> bool:
         """Install one part per file — its bytes, or a callable writing
-        them to the open file; ``False`` when the disk refused."""
+        them to the open file, or ``None`` for a file this entry does
+        without; ``False`` when the disk refused."""
         if self.root is None:
             return False
         tmp_suffix = f".{os.getpid()}.{threading.get_ident()}.tmp"
@@ -122,6 +123,9 @@ class DiskStore:
             maybe_inject("cache.disk-write", fingerprint=key, kind=self.kind)
             self.root.mkdir(parents=True, exist_ok=True)
             for path, part in zip(self._paths(key), parts):
+                if part is None:
+                    path.unlink(missing_ok=True)
+                    continue
                 tmp = path.with_name(path.name + tmp_suffix)
                 with open(tmp, "wb") as fh:
                     if callable(part):

@@ -1,5 +1,6 @@
 """The :class:`repro.runtime.diskstore.DiskStore` contract, run against
-each of its three tenants through the tenant's own public API.
+each of its four tenants through the tenant's own public API (the
+native tier's shared objects need a host ``cc`` to make one).
 
 What every disk tier promises, whatever it stores: an entry written by
 one instance is read back by a fresh one; a truncated, corrupted or
@@ -15,8 +16,12 @@ tenant, not here.
 """
 
 import json
+import shutil
+import subprocess
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ import pytest
 from repro.codegen.cache import KernelCache
 from repro.codegen.certificates import CertificateMemo
 from repro.codegen.executor import CompiledKernel
+from repro.codegen.native import NativeStore
 from repro.runtime.resilience import FaultPlan, FaultSpec, clear_plan, injected
 from repro.runtime.resilience.checkpoint import CheckpointManager
 
@@ -110,7 +116,46 @@ class CheckpointTenant:
         path.write_bytes(bytes(blob))
 
 
+class NativeTenant:
+    kind = "native"
+    files = (f"{KEY}.so", f"{KEY}.so.json")
+    _blob = None
+
+    def open(self, root):
+        return NativeStore(root)
+
+    def put(self, store):
+        if NativeTenant._blob is None:  # one real shared object per run
+            with tempfile.TemporaryDirectory() as tmp:
+                (Path(tmp) / "k.c").write_text("int answer(void) { return 42; }\n")
+                subprocess.run(["cc", "-shared", "-fPIC", "-o", "k.so", "k.c"],
+                               cwd=tmp, check=True)
+                NativeTenant._blob = (Path(tmp) / "k.so").read_bytes()
+        store.put(KEY, NativeTenant._blob)
+
+    def get(self, store):
+        lib = store.get(KEY)
+        assert lib is None or lib._cdll.answer() == 42
+        return lib
+
+    def stats(self, store):
+        return store.stats
+
+    def flip(self, root):
+        path = root / self.files[0]
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
+
+    def skew(self, root):
+        path = root / self.files[1]
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "native": "0 -O9"}))
+
+
 TENANTS = [KernelTenant(), CertificateTenant(), CheckpointTenant()]
+if shutil.which("cc"):
+    TENANTS.insert(2, NativeTenant())  # before the version-less checkpoints
 
 
 @pytest.fixture(params=TENANTS, ids=lambda t: t.kind)
@@ -178,7 +223,7 @@ def test_checksum_mismatch_quarantined_once(tenant, tmp_path):
 
 # Not the checkpoints: an .npz carries no version field of ours (numpy
 # owns the format), so there is nothing to skew.
-@pytest.mark.parametrize("tenant", TENANTS[:2], ids=lambda t: t.kind)
+@pytest.mark.parametrize("tenant", TENANTS[:-1], ids=lambda t: t.kind)
 def test_version_skew_quarantined_once(tenant, tmp_path):
     _populate(tenant, tmp_path)
     tenant.skew(tmp_path)
@@ -191,7 +236,8 @@ def test_unwritable_root_degrades_to_memory_only(tenant, tmp_path):
     writer = tenant.open(blocker / "store")  # mkdir must fail, even as root
     tenant.put(writer)
     assert tenant.stats(writer).disk_errors == 1
-    assert tenant.get(writer) is not None  # the memory tier still serves
+    if tenant.kind != "native":  # (whose memory tier is the builder's memo)
+        assert tenant.get(writer) is not None  # the memory tier still serves
     assert blocker.read_text() == "not a directory"
 
 
@@ -205,7 +251,8 @@ def test_injected_write_fault_degrades_to_memory_only(tenant, tmp_path):
     assert plan.fired
     assert tenant.stats(writer).disk_errors == 1
     assert not any((tmp_path / name).exists() for name in tenant.files)
-    assert tenant.get(writer) is not None
+    if tenant.kind != "native":
+        assert tenant.get(writer) is not None
     assert tenant.get(tenant.open(tmp_path)) is None
 
 
