@@ -27,6 +27,7 @@ wires into the :class:`~repro.analysis.analyzer.AnalysisGate`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -48,7 +49,7 @@ from repro.analysis.absint.interval import (
 from repro.analysis.absint.memory import ClobberChecker, UninitReadChecker
 from repro.analysis.affine import resolve_verify_engine
 from repro.analysis.diagnostics import Diagnostic
-from repro.ir.attributes import IntegerAttr
+from repro.ir.indexing import IntEval
 from repro.ir.location import op_excerpt, op_path
 from repro.ir.operation import Operation
 
@@ -68,31 +69,21 @@ class MemorySafetyReport:
     engine_mode: str = "auto"
 
 
-def _const_of(value) -> Optional[int]:
-    op = getattr(value, "op", None)
-    if op is not None and op.name == "arith.constant":
-        attr = op.attributes.get("value")
-        if isinstance(attr, IntegerAttr):
-            return attr.value
-    return None
-
-
 def _oversized_grids(module: Operation, limit: int) -> List[tuple]:
     """``(op, grid_points)`` for each tiled loop whose statically known
     grid exceeds ``limit`` — the loops the interval engine degrades to a
-    single hull visit on."""
+    single hull visit on. Bounds are evaluated, not read as literals, so
+    an unfolded (``opt_level=0``) bound counts like a folded one."""
+    ev = IntEval()
     out = []
     for op in module.walk():
         if op.name != "cfd.tiled_loop":
             continue
-        total = 1
-        for lb_v, ub_v, st_v in zip(op.lbs, op.ubs, op.steps):
-            lb, ub, st = _const_of(lb_v), _const_of(ub_v), _const_of(st_v)
-            if lb is None or ub is None or st is None or st <= 0:
-                total = None
-                break
-            total *= len(range(lb, ub, st))
-        if total is not None and total > limit:
+        dims = [tuple(map(ev, b)) for b in zip(op.lbs, op.ubs, op.steps)]
+        if any(None in d or d[2] <= 0 for d in dims):
+            continue
+        total = math.prod(len(range(*d)) for d in dims)
+        if total > limit:
             out.append((op, total))
     return out
 

@@ -7,7 +7,7 @@ environments:
 * an *index* environment mapping bound SSA values (loop induction
   variables, enumerated tile coordinates) to :class:`Interval`\\ s; every
   other index expression is evaluated on demand by recursing through its
-  defining ``arith`` ops;
+  defining ``arith`` ops (:func:`repro.ir.indexing.step`);
 * an *extent* environment mapping shaped values (tensors, memrefs,
   block arguments of loops) to per-dimension extent intervals, resolved
   through the producing op (``tensor.empty`` sizes, slice windows,
@@ -33,40 +33,18 @@ execution order, once per enumerated visit) through ``on_op``.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.analysis.absint.interval import Box, Interval
+from repro.analysis.absint.interval import INTERVALS, Box, Interval
 from repro.analysis.diagnostics import Diagnostic
-from repro.ir.attributes import IntegerAttr
 from repro.ir.dataflow import ForwardDataflowWalker
+from repro.ir.indexing import extents, step
 from repro.ir.operation import Operation
 from repro.ir.types import MemRefType, TensorType
-from repro.ir.values import BlockArgument, OpResult, Value
+from repro.ir.values import Value
 
 #: Default cap on the number of enumerated tile coordinates per loop.
 ENUMERATION_LIMIT = 4096
-
-_BINARY = {
-    "arith.addi": lambda a, b: a + b,
-    "arith.subi": lambda a, b: a - b,
-    "arith.muli": lambda a, b: a * b,
-    "arith.floordivi": lambda a, b: a.floordiv(b),
-    "arith.ceildivi": lambda a, b: -((-a).floordiv(b)),
-    "arith.remi": lambda a, b: a.remainder(b),
-    "arith.minsi": lambda a, b: a.min_(b),
-    "arith.maxsi": lambda a, b: a.max_(b),
-}
-
-#: Ops whose result extents simply forward one operand's extents
-#: (functional updates that preserve shape): name -> operand index.
-_EXTENT_FORWARD = {
-    "tensor.insert": 1,
-    "tensor.insert_slice": 1,
-    "cfd.stencilOp": 2,
-    "cfd.faceIteratorOp": 1,
-    "linalg.fill": 1,
-    "vector.transfer_write": 1,
-}
 
 
 class AbsintClient:
@@ -102,52 +80,28 @@ class AbstractEvaluator(ForwardDataflowWalker):
 
     # ---- evaluation ------------------------------------------------------
 
-    def eval(self, value: Value, _memo: Optional[Dict[int, Interval]] = None) -> Interval:
-        """The interval of an index-typed SSA value in the current context."""
-        bound = self.index_env.get(id(value))
-        if bound is not None:
-            return bound
-        memo = _memo if _memo is not None else {}
-        key = id(value)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        memo[key] = Interval.top()  # cycle guard
-        result = self._eval_uncached(value, memo)
-        memo[key] = result
-        return result
+    def eval(self, value: Value) -> Interval:
+        """The interval of an index-typed SSA value in the current context:
+        bound values first, everything else through
+        :func:`~repro.ir.indexing.step` with one memo per query."""
+        memo: Dict[int, Interval] = {}
 
-    def _eval_uncached(self, value: Value, memo: Dict[int, Interval]) -> Interval:
-        if not isinstance(value, OpResult):
-            return Interval.top()  # unbound block argument
-        op = value.op
-        name = op.name
-        if name == "arith.constant":
-            attr = op.attributes.get("value")
-            if isinstance(attr, IntegerAttr):
-                return Interval.point(attr.value)
-            return Interval.top()
-        fn = _BINARY.get(name)
-        if fn is not None and op.num_operands == 2:
-            return fn(self.eval(op.operand(0), memo), self.eval(op.operand(1), memo))
-        if name == "arith.index_cast":
-            return self.eval(op.operand(0), memo)
-        if name == "arith.select" and op.num_operands == 3:
-            return self.eval(op.operand(1), memo).join(self.eval(op.operand(2), memo))
-        if name in ("tensor.dim", "memref.dim"):
-            dim = op.attributes.get("dim")
-            if isinstance(dim, IntegerAttr):
-                ext = self.extent(op.operand(0))
-                if 0 <= dim.value < len(ext):
-                    return ext[dim.value]
-        return Interval.top()
+        def ev(v: Value) -> Interval:
+            bound = self.index_env.get(id(v))
+            if bound is not None:
+                return bound
+            key = id(v)
+            out = memo.get(key)
+            if out is None:
+                memo[key] = Interval.top()  # cycle guard
+                out = memo[key] = step(v, INTERVALS, ev, self.extent)
+            return out
+
+        return ev(value)
 
     def eval_exact(self, value: Value) -> Optional[int]:
         """The concrete integer of ``value``, or ``None`` if not a point."""
-        iv = self.eval(value)
-        if iv.is_point and isinstance(iv.lo, int):
-            return iv.lo
-        return None
+        return INTERVALS.as_const(self.eval(value))
 
     # ---- extents ---------------------------------------------------------
 
@@ -156,43 +110,9 @@ class AbstractEvaluator(ForwardDataflowWalker):
         bound = self.extent_env.get(id(value))
         if bound is not None:
             return bound
-        t = value.type
-        if not isinstance(t, (TensorType, MemRefType)):
+        if not isinstance(value.type, (TensorType, MemRefType)):
             raise TypeError(f"extent() of non-shaped value {value!r}")
-        if all(d != -1 for d in t.shape):
-            return tuple(Interval.point(d) for d in t.shape)
-        return self._dynamic_extent(value, t.shape)
-
-    def _dynamic_extent(self, value: Value, shape: Tuple[int, ...]) -> Box:
-        if isinstance(value, OpResult):
-            op = value.op
-            name = op.name
-            forward = _EXTENT_FORWARD.get(name)
-            if forward is not None:
-                return self.extent(op.operand(forward))
-            if name in ("tensor.empty", "memref.alloc"):
-                dyn = iter(op.operands)
-                return tuple(
-                    Interval.point(d) if d != -1 else self.eval(next(dyn))
-                    for d in shape
-                )
-            if name in ("tensor.extract_slice", "memref.subview"):
-                rank = (op.num_operands - 1) // 2
-                sizes = op.operands[1 + rank :]
-                return tuple(
-                    Interval.point(d) if d != -1 else self.eval(sizes[i])
-                    for i, d in enumerate(shape)
-                )
-            if name == "scf.for":
-                return self.extent(op.operand(3 + value.index))
-            if name == "cfd.tiled_loop":
-                return self.extent(op.outs[value.index])
-            if name == "linalg.generic":
-                return self.extent(op.operand(op.attributes["num_ins"].value))
-        # Unknown producer / unbound block argument: static dims only.
-        return tuple(
-            Interval.point(d) if d != -1 else Interval.top() for d in shape
-        )
+        return extents(value, INTERVALS, self.eval, self.extent)
 
     # ---- walking ---------------------------------------------------------
 

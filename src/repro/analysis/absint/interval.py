@@ -3,7 +3,8 @@
 An :class:`Interval` is an inclusive integer range ``[lo, hi]`` whose
 endpoints may be ``-inf``/``+inf`` (``float`` infinities; every finite
 endpoint is an ``int``). The engine (:mod:`repro.analysis.absint.engine`)
-interprets every ``arith`` index op over this domain; the client analyses
+interprets every ``arith`` index op over this domain (:data:`INTERVALS`,
+through :func:`repro.ir.indexing.step`); the client analyses
 then phrase their questions as containment queries, e.g. "is the access
 range inside ``[0, extent)``".
 
@@ -20,6 +21,8 @@ Precision notes baked into the operations:
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple, Union
+
+from repro.ir.indexing import IndexDomain
 
 Endpoint = Union[int, float]
 
@@ -133,6 +136,28 @@ def _mul(a: Endpoint, b: Endpoint) -> Endpoint:
     if a == 0 or b == 0:  # 0 * inf is 0 for interval corners
         return 0
     return a * b
+
+
+class _Intervals(IndexDomain):
+    """Intervals as an index domain: unknown is ``TOP``."""
+
+    add = staticmethod(Interval.__add__)
+    sub = staticmethod(Interval.__sub__)
+    mul = staticmethod(Interval.__mul__)
+    min = staticmethod(Interval.min_)
+    max = staticmethod(Interval.max_)
+    join = staticmethod(Interval.join)
+    const = staticmethod(Interval.point)
+    unknown = staticmethod(Interval.top)
+    as_const = staticmethod(
+        lambda v: v.lo if v.is_point and isinstance(v.lo, int) else None
+    )
+    floordiv = staticmethod(lambda a, d: a.floordiv(Interval.point(d)))
+    rem = staticmethod(lambda a, d: a.remainder(Interval.point(d)))
+
+
+#: The interval index domain (:func:`repro.ir.indexing.step`).
+INTERVALS = _Intervals()
 
 
 #: A per-dimension box of intervals (an access footprint).

@@ -33,16 +33,16 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.absint.interval import Box, Interval, box_join, box_str
 from repro.analysis.affine.pwaff import (
     PROVEN,
-    UNKNOWN,
     VIOLATES,
     PwAff,
+    PwAffDomain,
     hull,
     prove_ge0,
     prove_lt,
 )
 from repro.analysis.affine.sets import AffineSet, AffineUnknown, LinExpr
 from repro.analysis.diagnostics import Diagnostic
-from repro.ir.attributes import IntegerAttr
+from repro.ir import indexing
 from repro.ir.dataflow import ForwardDataflowWalker
 from repro.ir.location import op_excerpt, op_path
 from repro.ir.operation import Operation
@@ -93,6 +93,7 @@ class AffineProver(ForwardDataflowWalker):
         #: proofs are then "undecided", never claimed violations.
         self.inexact_depth = 0
         self._fresh = 0
+        self.dom = PwAffDomain(self.fresh)
 
     # ---- plumbing --------------------------------------------------------
 
@@ -113,9 +114,11 @@ class AffineProver(ForwardDataflowWalker):
         if cached is not None:
             return cached
         try:
-            result = self._prune(self._eval_uncached(value))
+            result = self._prune(
+                indexing.step(value, self.dom, self.eval, self.extent)
+            )
         except AffineUnknown:
-            result = PwAff.var(self.fresh("p"))
+            result = self.dom.unknown()
         self.env[id(value)] = result
         return result
 
@@ -139,98 +142,19 @@ class AffineProver(ForwardDataflowWalker):
             kept.append((g, e))
         return PwAff(kept, pw.exact) if kept else pw
 
-    def _eval_uncached(self, value: Value) -> PwAff:
-        if not isinstance(value, OpResult):
-            # Unbound block argument (e.g. a mesh-size function
-            # parameter): one symbolic parameter per value, so every
-            # use of the same dynamic extent unifies.
-            raise AffineUnknown("unbound block argument")
-        op = value.op
-        name = op.name
-        if name == "arith.constant":
-            attr = op.attributes.get("value")
-            if isinstance(attr, IntegerAttr):
-                return PwAff.const(attr.value)
-            raise AffineUnknown("non-integer constant")
-        if name == "arith.index_cast":
-            return self.eval(op.operand(0))
-        if op.num_operands == 2:
-            if name == "arith.addi":
-                return self.eval(op.operand(0)) + self.eval(op.operand(1))
-            if name == "arith.subi":
-                return self.eval(op.operand(0)) - self.eval(op.operand(1))
-            if name == "arith.muli":
-                return self.eval(op.operand(0)).mul(self.eval(op.operand(1)))
-            if name == "arith.minsi":
-                return self.eval(op.operand(0)).min_(self.eval(op.operand(1)))
-            if name == "arith.maxsi":
-                return self.eval(op.operand(0)).max_(self.eval(op.operand(1)))
-            if name in ("arith.floordivi", "arith.remi"):
-                m = self.eval(op.operand(1)).as_const()
-                if m is None:
-                    raise AffineUnknown(f"{name} by a non-constant")
-                a = self.eval(op.operand(0))
-                if name == "arith.floordivi":
-                    return a.floordiv(m, self.fresh)
-                return a.rem(m, self.fresh)
-        if name == "arith.select" and op.num_operands == 3:
-            return self.eval(op.operand(1)).join(self.eval(op.operand(2)))
-        if name in ("tensor.dim", "memref.dim"):
-            dim = op.attributes.get("dim")
-            if isinstance(dim, IntegerAttr):
-                ext = self.extent(op.operand(0))
-                if 0 <= dim.value < len(ext):
-                    return ext[dim.value]
-        raise AffineUnknown(f"unsupported index producer {name}")
-
     # ---- symbolic extents ------------------------------------------------
 
     def extent(self, value: Value) -> Tuple[PwAff, ...]:
+        """Per-dim symbolic extents, memoized so every use of the same
+        dynamic extent unifies with one parameter."""
         bound = self.extent_env.get(id(value))
         if bound is not None:
             return bound
-        t = value.type
-        if not isinstance(t, (TensorType, MemRefType)):
+        if not isinstance(value.type, (TensorType, MemRefType)):
             raise AffineUnknown("extent of a non-shaped value")
-        if all(d != -1 for d in t.shape):
-            return tuple(PwAff.const(d) for d in t.shape)
-        result = self._dynamic_extent(value, t.shape)
+        result = indexing.extents(value, self.dom, self.eval, self.extent)
         self.extent_env[id(value)] = result
         return result
-
-    def _dynamic_extent(self, value, shape) -> Tuple[PwAff, ...]:
-        from repro.analysis.absint.engine import _EXTENT_FORWARD
-
-        if isinstance(value, OpResult):
-            op = value.op
-            name = op.name
-            forward = _EXTENT_FORWARD.get(name)
-            if forward is not None:
-                return self.extent(op.operand(forward))
-            if name in ("tensor.empty", "memref.alloc"):
-                dyn = iter(op.operands)
-                return tuple(
-                    PwAff.const(d) if d != -1 else self.eval(next(dyn))
-                    for d in shape
-                )
-            if name in ("tensor.extract_slice", "memref.subview"):
-                rank = (op.num_operands - 1) // 2
-                sizes = op.operands[1 + rank :]
-                return tuple(
-                    PwAff.const(d) if d != -1 else self.eval(sizes[i])
-                    for i, d in enumerate(shape)
-                )
-            if name == "scf.for":
-                return self.extent(op.operand(3 + value.index))
-            if name == "cfd.tiled_loop":
-                return self.extent(op.outs[value.index])
-            if name == "linalg.generic":
-                return self.extent(op.operand(op.attributes["num_ins"].value))
-        return tuple(
-            PwAff.const(d) if d != -1
-            else PwAff.var(self.fresh("p"))
-            for d in shape
-        )
 
     # ---- loop binding ----------------------------------------------------
 
@@ -485,21 +409,13 @@ class AffineProver(ForwardDataflowWalker):
 
     # ---- access dispatch (mirror of absint.bounds) -----------------------
 
-    #: producers evaluated eagerly at their definition so pruning (and
-    #: memoization) happen under the definition-scope domain.
-    _EAGER = frozenset((
-        "arith.constant", "arith.addi", "arith.subi", "arith.muli",
-        "arith.minsi", "arith.maxsi", "arith.floordivi", "arith.remi",
-        "arith.select", "arith.index_cast", "tensor.dim", "memref.dim",
-    ))
-
     def before_op(self, op: Operation) -> None:
         name = op.name
-        if name in self._EAGER and op.num_results == 1:
-            try:
-                self.eval(op.result())
-            except AffineUnknown:
-                pass
+        if name in indexing.OPS and op.num_results == 1:
+            # Index producers are evaluated eagerly at their definition,
+            # so pruning (and memoization) happen under the
+            # definition-scope domain.
+            self.eval(op.result())
         try:
             if name in ("tensor.extract", "memref.load"):
                 self._check_point(op, op.operand(0), op.operands[1:], "read")

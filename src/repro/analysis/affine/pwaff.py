@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.analysis.affine.sets import AffineSet, AffineUnknown, LinExpr
+from repro.ir.indexing import IndexDomain
 
 #: Cap on pieces per value; past this the expression is "not affine".
 MAX_PIECES = 32
@@ -136,30 +137,18 @@ class PwAff:
         """Both branches possible (``arith.select`` without the cond)."""
         return PwAff(self.pieces + other.pieces, exact=False)
 
-    def floordiv(self, m: int, fresh: Callable[[str], str]) -> "PwAff":
-        """``floor(self / m)`` for a positive constant ``m``, via an
-        existential quotient: ``q`` with ``0 <= e - m*q <= m - 1``."""
-        if m <= 0:
-            raise AffineUnknown("floordiv by a non-positive constant")
+    def div(
+        self, m: int, fresh: Callable[[str], str], rem: bool = False
+    ) -> "PwAff":
+        """``floor(self / m)``, or with ``rem`` the non-negative
+        ``self mod m``, for a positive constant ``m``, via an existential
+        quotient: ``q`` with ``0 <= e - m*q <= m - 1``."""
         out: List[Piece] = []
         for g, e in self.pieces:
             q = LinExpr.var(fresh("q"))
-            rem = e - q.scaled(m)
+            r = e - q.scaled(m)
             out.append(
-                (g.and_ge0(rem).and_ge0(LinExpr.of(m - 1) - rem), q)
-            )
-        return PwAff(out, self.exact)
-
-    def rem(self, m: int, fresh: Callable[[str], str]) -> "PwAff":
-        """``self mod m`` (non-negative) for a positive constant ``m``."""
-        if m <= 0:
-            raise AffineUnknown("remainder by a non-positive constant")
-        out: List[Piece] = []
-        for g, e in self.pieces:
-            q = LinExpr.var(fresh("q"))
-            rem = e - q.scaled(m)
-            out.append(
-                (g.and_ge0(rem).and_ge0(LinExpr.of(m - 1) - rem), rem)
+                (g.and_ge0(r).and_ge0(LinExpr.of(m - 1) - r), r if rem else q)
             )
         return PwAff(out, self.exact)
 
@@ -167,6 +156,26 @@ class PwAff:
         return "PwAff(" + "; ".join(
             f"{e!r} if {g!r}" for g, e in self.pieces
         ) + ")"
+
+
+class PwAffDomain(IndexDomain):
+    """:class:`PwAff` as an index domain: an unknown value is a fresh
+    unconstrained parameter (sound: any integer) named by ``fresh``."""
+
+    add = staticmethod(PwAff.__add__)
+    sub = staticmethod(PwAff.__sub__)
+    mul = staticmethod(PwAff.mul)
+    min = staticmethod(PwAff.min_)
+    max = staticmethod(PwAff.max_)
+    join = staticmethod(PwAff.join)
+    const = staticmethod(PwAff.const)
+    as_const = staticmethod(PwAff.as_const)
+
+    def __init__(self, fresh: Callable[[str], str]) -> None:
+        super().__init__()
+        self.unknown = lambda: PwAff.var(fresh("p"))
+        self.floordiv = lambda a, d: a.div(d, fresh)
+        self.rem = lambda a, d: a.div(d, fresh, rem=True)
 
 
 #: three-valued verdict of a piecewise proof

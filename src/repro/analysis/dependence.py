@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.consteval import resolve_affine
 from repro.analysis.diagnostics import Diagnostic
 from repro.ir.attributes import BoolAttr, DenseIntElementsAttr, IntegerAttr
 from repro.ir.location import op_excerpt, op_path
 from repro.ir.operation import Operation
+from repro.ir.schedule import resolve_affine
 from repro.ir.values import BlockArgument, OpResult, Value
 
 Offset = Tuple[int, ...]
@@ -273,7 +273,7 @@ def extract_loop_access_set(root: Operation) -> Optional[AccessSet]:
     The write anchor is the first ``tensor.insert`` into the iter-arg
     chain: its space coordinates define the per-dimension index roots.
     Every ``tensor.extract`` is then resolved against those roots via
-    :func:`~repro.analysis.consteval.resolve_affine`; reads whose roots do
+    :func:`~repro.ir.schedule.resolve_affine`; reads whose roots do
     not all match the write roots (e.g. boundary handling) are ignored.
     Returns ``None`` when no in-place write is found.
     """

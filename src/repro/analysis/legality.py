@@ -23,7 +23,6 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.consteval import eval_index
 from repro.analysis.dependence import (
     lex_sign,
     schedule_relevant_offsets,
@@ -31,6 +30,7 @@ from repro.analysis.dependence import (
 )
 from repro.analysis.diagnostics import Diagnostic
 from repro.ir.attributes import BoolAttr
+from repro.ir.indexing import static_ints
 from repro.ir.location import op_excerpt, op_path
 from repro.ir.operation import Operation
 
@@ -212,7 +212,7 @@ def static_tile_sizes(loop: Operation) -> Optional[List[int]]:
     steps = getattr(loop, "steps", None)
     if steps is None:
         return None
-    sizes = [eval_index(s) for s in steps]
+    sizes = static_ints(steps)
     if any(s is None or s < 1 for s in sizes):
         return None
     return [int(s) for s in sizes]

@@ -45,12 +45,13 @@ from itertools import product
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.absint.interval import INTERVALS
 from repro.analysis.tv.extract import (
     ExtractionUnsupported,
     InstanceExtractor,
     SiteRef,
 )
-from repro.ir.attributes import IntegerAttr
+from repro.ir import indexing
 from repro.ir.operation import Operation
 from repro.ir.schedule import (
     AFTER,
@@ -311,80 +312,24 @@ class _VersionedEnv(dict):
         super().__setitem__(key, value)
 
 
-_MISS = object()
-
-
-class _ConstEval:
-    """Concrete-integer evaluation with one shared memo per tile
-    environment. ``AbstractEvaluator.eval_exact`` builds a fresh memo per
+class _ConstEval(indexing.IntEval):
+    """Concrete-integer evaluation under the tile bindings, with one
+    shared memo per tile environment, seeded with the bindings whenever
+    they change. ``AbstractEvaluator.eval_exact`` builds a fresh memo per
     call and allocates intervals through the whole expression tree; the
     tile window bounds feed every anchor of a nest, so sharing the memo
     across the ~100 queries of one tile is a large constant-factor win."""
 
-    def __init__(self, ev) -> None:
-        self.ev = ev
-        self.memo: Dict[int, Optional[int]] = {}
+    def __init__(self, env: _VersionedEnv) -> None:
+        super().__init__()
+        self.env = env
         self.version = -1
 
     def __call__(self, value) -> Optional[int]:
-        env = self.ev.index_env
-        if env.version != self.version:
-            self.memo.clear()
-            self.version = env.version
-        return self._eval(value, env)
-
-    def _eval(self, value, env) -> Optional[int]:
-        key = id(value)
-        hit = self.memo.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        bound = env.get(key)
-        if bound is not None:
-            out = (
-                bound.lo
-                if bound.is_point and isinstance(bound.lo, int)
-                else None
-            )
-            self.memo[key] = out
-            return out
-        out = self._compute(value, env)
-        self.memo[key] = out
-        return out
-
-    def _compute(self, value, env) -> Optional[int]:
-        op = getattr(value, "op", None)
-        if op is None:
-            return None
-        name = op.name
-        if name == "arith.constant":
-            attr = op.attributes.get("value")
-            return attr.value if isinstance(attr, IntegerAttr) else None
-        if name in _INT_BINARY and op.num_operands == 2:
-            a = self._eval(op.operand(0), env)
-            if a is None:
-                return None
-            b = self._eval(op.operand(1), env)
-            if b is None:
-                return None
-            return _INT_BINARY[name](a, b)
-        if name == "arith.index_cast":
-            return self._eval(op.operand(0), env)
-        # Extent queries and anything unmodeled: the interval engine.
-        return self.ev.eval_exact(value)
-
-
-# Mirrors the interval engine's point semantics exactly: division and
-# remainder are defined only for positive divisors (TOP otherwise).
-_INT_BINARY = {
-    "arith.addi": lambda a, b: a + b,
-    "arith.subi": lambda a, b: a - b,
-    "arith.muli": lambda a, b: a * b,
-    "arith.floordivi": lambda a, b: a // b if b > 0 else None,
-    "arith.ceildivi": lambda a, b: -((-a) // b) if b > 0 else None,
-    "arith.remi": lambda a, b: a % b if b > 0 else None,
-    "arith.minsi": min,
-    "arith.maxsi": max,
-}
+        if self.env.version != self.version:
+            self.version = self.env.version
+            self.memo = {k: INTERVALS.as_const(v) for k, v in self.env.items()}
+        return self.eval(value)
 
 
 class SymbolicExtractor(InstanceExtractor):
@@ -400,7 +345,7 @@ class SymbolicExtractor(InstanceExtractor):
         super().__init__(limit=1)  # _record must never be reached
         self.pieces: List[Piece] = []
         self.ev.index_env = _VersionedEnv()
-        self._cexact = _ConstEval(self.ev)
+        self._cexact = _ConstEval(self.ev.index_env)
         self._nest_tpl: Dict[int, list] = {}
 
     def _exact(self, value, what: str) -> int:
@@ -519,10 +464,9 @@ class SymbolicExtractor(InstanceExtractor):
                     return None
                 if name == "arith.index_cast":
                     return linear_tpl(op.operand(0))
-                if name == "arith.constant":
-                    attr = op.attributes.get("value")
-                    if isinstance(attr, IntegerAttr):
-                        return (attr.value, {}, ())
+            c = indexing.literal(value)
+            if isinstance(c, int):
+                return (c, {}, ())
             return (0, {}, ((value, 1),))
 
         def decode_block(block) -> list:

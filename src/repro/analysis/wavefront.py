@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.consteval import eval_index
 from repro.analysis.dependence import schedule_relevant_offsets
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.legality import (
@@ -36,6 +35,7 @@ from repro.analysis.legality import (
     loop_stencil_raw_attrs,
     static_tile_sizes,
 )
+from repro.ir.indexing import static_ints
 from repro.ir.location import op_excerpt, op_path
 from repro.ir.operation import Operation
 
@@ -282,7 +282,7 @@ def check_get_parallel_blocks(
             )
         )
 
-    num_blocks = [eval_index(o) for o in op.operands]
+    num_blocks = static_ints(op.operands)
     if any(n is None or n < 1 for n in num_blocks):
         diags.append(
             Diagnostic(

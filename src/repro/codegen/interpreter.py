@@ -143,8 +143,7 @@ class Interpreter:
             raise InterpreterError(
                 f"{func_name} expects {len(func.arguments)} arguments, got {len(args)}"
             )
-        coerced = [_coerce(a) for a in args]
-        return self.eval_block(func.body, coerced)
+        return self.eval_block(func.body, args)
 
     def eval_block(self, block: Block, args: Sequence[Any]) -> List[Any]:
         """Execute a block; returns the terminator's operand values."""
@@ -177,12 +176,6 @@ class Interpreter:
 def run_function(module: ModuleOp, name: str, *args: Any) -> List[Any]:
     """One-shot convenience wrapper around :class:`Interpreter`."""
     return Interpreter(module).run(name, *args)
-
-
-def _coerce(value: Any) -> Any:
-    if isinstance(value, np.ndarray):
-        return value
-    return value
 
 
 # ---------------------------------------------------------------------------

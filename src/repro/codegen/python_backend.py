@@ -51,6 +51,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.dialects.cfd import TiledLoopOp
 from repro.dialects.linalg import GenericOp
 from repro.ir.block import Block
+from repro.ir.indexing import literal as _const
 from repro.ir.module import ModuleOp
 from repro.ir.operation import Operation
 from repro.ir.types import MemRefType, TensorType, VectorType
@@ -138,13 +139,6 @@ def _is_scalar_expr(op: Operation) -> bool:
     return (
         op.name.startswith(("arith.", "math.")) or op.name == "vector.extract"
     ) and not isinstance(op.result().type, (TensorType, VectorType))
-
-
-def _const(value: Value):
-    """The Python number behind an ``arith.constant`` result, else ``None``."""
-    if isinstance(value, OpResult) and value.op.name == "arith.constant":
-        return value.op.attributes["value"].value
-    return None
 
 
 def _base_offset(index: Value) -> Tuple[Value, int]:

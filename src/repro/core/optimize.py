@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Union
 
 from repro.ir.attributes import Attribute, FloatAttr, IntegerAttr
+from repro.ir.indexing import ARITH_OPS, fold, literal
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import Pass
 from repro.ir.rewriter import PatternRewriter, RewritePattern, apply_patterns_greedily
@@ -118,32 +119,12 @@ _GUARDED_DIV_OPS = frozenset({"arith.divf", "arith.floordivi", "arith.remi"})
 _LOOP_OPS = frozenset({"scf.for", "scf.parallel", "cfd.tiled_loop"})
 
 
-def _constant_value(value: Value) -> Optional[Union[int, float]]:
-    """The Python constant behind ``value`` if it is an ``arith.constant``."""
-    if isinstance(value, OpResult) and value.op.name == "arith.constant":
-        attr = value.op.attributes.get("value")
-        if isinstance(attr, (IntegerAttr, FloatAttr)):
-            return attr.value
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Constant folding.
 # ---------------------------------------------------------------------------
 
-#: Folders over integer/index constants. Semantics match the emitted
-#: Python exactly (``//`` floors, min/max tie-break irrelevant on ints).
-_INT_FOLDS: Dict[str, Callable[[int, int], int]] = {
-    "arith.addi": operator.add,
-    "arith.subi": operator.sub,
-    "arith.muli": operator.mul,
-    "arith.floordivi": operator.floordiv,
-    "arith.remi": operator.mod,
-    "arith.minsi": min,
-    "arith.maxsi": max,
-}
-
-#: Folders over float constants. ``maximumf``/``minimumf`` are left out:
+#: Folders over float constants (integer arithmetic folds through
+#: :func:`repro.ir.indexing.fold`). ``maximumf``/``minimumf`` are left out:
 #: the backend lowers them to ``_np.maximum``/``minimum`` whose NaN
 #: propagation differs from Python's ``max``/``min``.
 _FLOAT_FOLDS: Dict[str, Callable[[float, float], float]] = {
@@ -178,7 +159,15 @@ class _FoldArith(RewritePattern):
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
         name = op.name
-        if name in _INT_FOLDS or name in _FLOAT_FOLDS:
+        if name in ARITH_OPS:
+            folded = fold(op)
+            if folded is None:
+                return False
+            if isinstance(folded, Value):
+                rewriter.replace_op(op, [folded])
+                return True
+            return self._replace_with_constant(op, rewriter, folded)
+        if name in _FLOAT_FOLDS:
             return self._fold_binary(op, rewriter)
         if name in _UNARY_FLOAT_FOLDS:
             return self._fold_unary(op, rewriter)
@@ -186,10 +175,8 @@ class _FoldArith(RewritePattern):
             return self._fold_cmp(op, rewriter)
         if name == "arith.select":
             return self._fold_select(op, rewriter)
-        if name == "arith.index_cast":
-            return self._fold_cast(op, rewriter, int)
         if name == "arith.sitofp":
-            return self._fold_cast(op, rewriter, float)
+            return self._fold_sitofp(op, rewriter)
         return False
 
     # -- helpers ----------------------------------------------------------
@@ -208,36 +195,19 @@ class _FoldArith(RewritePattern):
         return True
 
     def _fold_binary(self, op: Operation, rewriter: PatternRewriter) -> bool:
-        a = _constant_value(op.operand(0))
-        b = _constant_value(op.operand(1))
+        a = literal(op.operand(0))
+        b = literal(op.operand(1))
         name = op.name
-        is_float = name in _FLOAT_FOLDS
         if a is not None and b is not None:
-            if name in ("arith.floordivi", "arith.remi", "arith.divf") and b == 0:
+            if name == "arith.divf" and b == 0:
                 return False
-            fold = _FLOAT_FOLDS[name] if is_float else _INT_FOLDS[name]
-            return self._replace_with_constant(op, rewriter, fold(a, b))
-        # Identities; float identities are limited to `x * 1.0` and
-        # `x / 1.0`, which are bit-exact for every IEEE input (including
-        # NaN, infinities and signed zeros).
+            return self._replace_with_constant(
+                op, rewriter, _FLOAT_FOLDS[name](a, b)
+            )
+        # Identities are limited to `x * 1.0` and `x / 1.0`, which are
+        # bit-exact for every IEEE input (including NaN, infinities and
+        # signed zeros).
         lhs, rhs = op.operand(0), op.operand(1)
-        if name in ("arith.addi", "arith.subi") and b == 0:
-            rewriter.replace_op(op, [lhs])
-            return True
-        if name == "arith.addi" and a == 0:
-            rewriter.replace_op(op, [rhs])
-            return True
-        if name in ("arith.muli", "arith.floordivi") and b == 1:
-            rewriter.replace_op(op, [lhs])
-            return True
-        if name == "arith.muli" and a == 1:
-            rewriter.replace_op(op, [rhs])
-            return True
-        if name == "arith.muli" and (a == 0 or b == 0):
-            return self._replace_with_constant(op, rewriter, 0)
-        if name in ("arith.minsi", "arith.maxsi") and lhs is rhs:
-            rewriter.replace_op(op, [lhs])
-            return True
         if name in ("arith.mulf", "arith.divf") and b == 1.0:
             rewriter.replace_op(op, [lhs])
             return True
@@ -247,7 +217,7 @@ class _FoldArith(RewritePattern):
         return False
 
     def _fold_unary(self, op: Operation, rewriter: PatternRewriter) -> bool:
-        a = _constant_value(op.operand(0))
+        a = literal(op.operand(0))
         if a is None or not isinstance(op.result().type, FloatType):
             return False
         if op.name == "math.sqrt" and a < 0:
@@ -259,29 +229,25 @@ class _FoldArith(RewritePattern):
         )
 
     def _fold_cmp(self, op: Operation, rewriter: PatternRewriter) -> bool:
-        a = _constant_value(op.operand(0))
-        b = _constant_value(op.operand(1))
+        a = literal(op.operand(0))
+        b = literal(op.operand(1))
         if a is None or b is None:
             return False
         predicate = op.attributes["predicate"].value  # type: ignore[union-attr]
         return self._replace_with_constant(op, rewriter, int(_CMP_FOLDS[predicate](a, b)))
 
     def _fold_select(self, op: Operation, rewriter: PatternRewriter) -> bool:
-        cond = _constant_value(op.operand(0))
+        cond = literal(op.operand(0))
         if cond is None:
             return False
         rewriter.replace_op(op, [op.operand(1) if cond else op.operand(2)])
         return True
 
-    def _fold_cast(
-        self, op: Operation, rewriter: PatternRewriter, cast: Callable
-    ) -> bool:
-        a = _constant_value(op.operand(0))
-        if a is None:
+    def _fold_sitofp(self, op: Operation, rewriter: PatternRewriter) -> bool:
+        a = literal(op.operand(0))
+        if a is None or not isinstance(op.result().type, FloatType):
             return False
-        if cast is float and not isinstance(op.result().type, FloatType):
-            return False
-        return self._replace_with_constant(op, rewriter, cast(a))
+        return self._replace_with_constant(op, rewriter, float(a))
 
 
 class ConstantFoldPass(Pass):
@@ -375,7 +341,7 @@ class LICMPass(Pass):
         if op.regions or op.num_results == 0:
             return False
         if op.name in _GUARDED_DIV_OPS:
-            divisor = _constant_value(op.operand(1))
+            divisor = literal(op.operand(1))
             if divisor is None or divisor == 0:
                 return False
         elif op.name not in _SPECULATABLE_OPS:

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.ir.indexing import static_ints
 
 Offset = Tuple[int, ...]
 
@@ -231,50 +233,19 @@ class ScheduleStamp:
         )
 
 
-def _eval_static_index(value) -> Optional[int]:
-    """Resolve an index SSA value to an integer through the small arith
-    subset the tiling pass builds extents from; ``None`` when dynamic."""
-    from repro.ir.values import OpResult
-
-    if not isinstance(value, OpResult):
-        return None
-    op = value.op
-    if op.name == "arith.constant":
-        return int(op.attributes["value"].value)
-    binops = {
-        "arith.addi": lambda a, b: a + b,
-        "arith.subi": lambda a, b: a - b,
-        "arith.muli": lambda a, b: a * b,
-        "arith.floordivi": lambda a, b: a // b,
-        "arith.remi": lambda a, b: a % b,
-        "arith.minsi": min,
-        "arith.maxsi": max,
-    }
-    fn = binops.get(op.name)
-    if fn is None:
-        return None
-    a = _eval_static_index(op.operand(0))
-    b = _eval_static_index(op.operand(1))
-    if a is None or b is None:
-        return None
-    return fn(a, b)
-
-
 def extract_schedule_stamps(module) -> List[ScheduleStamp]:
     """One :class:`ScheduleStamp` per ``cfd.get_parallel_blocks`` op
     whose grid extents are statically resolvable (module order).
 
-    Dynamic extents simply produce no stamp — the runtime schedule is
-    still computed by the generated code; only the static metadata is
-    unavailable.
+    Dynamic extents (and divisions without a positive constant divisor)
+    simply produce no stamp — the runtime schedule is still computed by
+    the generated code; only the static metadata is unavailable.
     """
     stamps: List[ScheduleStamp] = []
     for op in module.walk():
         if op.name != "cfd.get_parallel_blocks":
             continue
-        extents = [
-            _eval_static_index(op.operand(i)) for i in range(op.num_operands)
-        ]
+        extents = static_ints(op.operands)
         if any(e is None for e in extents):
             continue
         offsets_csr, _ = compute_parallel_blocks(extents, op.block_offsets)

@@ -18,6 +18,8 @@ add/sub/mul chains; everything else is delegated to an evaluator
 callback (in practice :meth:`AbstractEvaluator.eval_exact
 <repro.analysis.absint.engine.AbstractEvaluator.eval_exact>` with the
 enclosing tile's induction variables pinned to concrete points).
+:func:`resolve_affine` is the dependence engine's simpler
+``root + offset`` form.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.ir.indexing import literal
 from repro.ir.values import OpResult, Value
 
 #: Timestamp component flags.
@@ -134,3 +137,31 @@ def resolve_linear(
     if c is None:
         return None
     return LinearForm(c, {})
+
+
+def resolve_affine(value: Value) -> Tuple[Value, int]:
+    """Peel ``+c`` / ``-c`` literal terms off an index expression.
+
+    Returns ``(root, offset)`` with ``value == root + offset``, where
+    ``root`` is the first value that is not an add/sub with a literal
+    operand. This is how the lowered-loop dependence engine recovers
+    stencil offsets from raw index arithmetic: reads are emitted as
+    ``addi(idx, const)`` around the write index ``idx`` (for both sweep
+    directions — the backward sweep's ``idx = hi - 1 - iv`` is itself the
+    shared root).
+    """
+    offset = 0
+    while isinstance(value, OpResult) and value.op.name in (
+        "arith.addi", "arith.subi"
+    ):
+        op = value.op
+        lhs, rhs = literal(op.operand(0)), literal(op.operand(1))
+        if rhs is not None and lhs is None:
+            offset += rhs if op.name == "arith.addi" else -rhs
+            value = op.operand(0)
+        elif lhs is not None and rhs is None and op.name == "arith.addi":
+            offset += lhs
+            value = op.operand(1)
+        else:
+            break
+    return value, offset

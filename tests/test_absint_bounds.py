@@ -83,6 +83,24 @@ class TestStaticProofs:
         assert "exceeds the enumeration limit" in cliff.message
         assert "hull bounds only" in cliff.message
 
+    @pytest.mark.parametrize("opt_level", [0, 2], ids=["O0", "O2"])
+    def test_precision_cliff_note_independent_of_opt_level(self, opt_level):
+        # At O0 the sub-domain loop's upper bounds are unfolded
+        # `arith.subi`s: the grid must still be counted, so the IP010
+        # hull degradation comes with the IP017 note explaining it.
+        module = frontend.build_stencil_kernel(
+            gauss_seidel_5pt_2d(), (66, 66), frontend.identity_body(4.0)
+        )
+        options = CompileOptions(
+            subdomain_sizes=(4, 4), vectorize=0, opt_level=opt_level,
+            use_cache=False,
+        )
+        StencilCompiler(options).lower(module)
+        report = run_memory_safety(module, enumeration_limit=10)
+        assert {d.code for d in report.diagnostics} == {"IP010", "IP017"}
+        (cliff,) = [d for d in report.diagnostics if d.code == "IP017"]
+        assert "tile grid of 256 points" in cliff.message
+
 
 class TestDynamicOracle:
     """`Interpreter(checked=True)` records the exact per-op access hulls;
