@@ -48,6 +48,7 @@ import math
 from contextlib import ExitStack, contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.dialects.arith import CMP, value_ops
 from repro.dialects.cfd import TiledLoopOp
 from repro.dialects.linalg import GenericOp
 from repro.ir.block import Block
@@ -89,41 +90,19 @@ _PARALLEL_CERTIFIED = False
 
 """
 
-_CMPOPS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+#: op name -> expression over its printed operands, from the op records;
+#: ``"grid"`` is the tile count along one dimension: (lb, ub, step).
+FORMATS = {name: op.NUMPY for name, op in value_ops().items()}
+FORMATS["grid"] = "max(0, -(-({1} - {0}) // {2}))"
 
-#: op name -> expression over its printed operands; these also print
-#: as whole-array expressions (``linalg.generic`` payloads).
-_ELEMENTWISE = {
-    "arith.addf": "({0} + {1})",
-    "arith.subf": "({0} - {1})",
-    "arith.mulf": "({0} * {1})",
-    "arith.divf": "({0} / {1})",
-    "arith.addi": "({0} + {1})",
-    "arith.subi": "({0} - {1})",
-    "arith.muli": "({0} * {1})",
-    "arith.floordivi": "({0} // {1})",
-    "arith.remi": "({0} % {1})",
-    "arith.negf": "(-{0})",
-    "arith.maximumf": "_np.maximum({0}, {1})",
-    "arith.minimumf": "_np.minimum({0}, {1})",
-    "math.fma": "({0} * {1} + {2})",
-    "math.powf": "({0} ** {1})",
-    "math.sqrt": "_np.sqrt({0})",
-    "math.absf": "_np.abs({0})",
-    "math.exp": "_np.exp({0})",
-    "math.log": "_np.log({0})",
-}
-FORMATS = {
-    **_ELEMENTWISE,
-    "arith.minsi": "min({0}, {1})",
-    "arith.maxsi": "max({0}, {1})",
-    "arith.select": "({1} if {0} else {2})",
-    "arith.index_cast": "int({0})",
-    "arith.sitofp": "float({0})",
-    "vector.fma": "({0} * {1} + {2})",
-    #: tiles along one dimension: (lb, ub, step)
-    "grid": "max(0, -(-({1} - {0}) // {2}))",
-}
+
+def _format(fmt: str, op: Operation, operands: Sequence[str]) -> str:
+    """``fmt`` over ``operands``; ``{cmp}`` is a comparison's symbol."""
+    pred = op.attributes.get("predicate")
+    if pred is None:
+        return fmt.format(*operands)
+    return fmt.format(*operands, cmp=CMP[pred.value][0])
+
 
 #: Like scalar expressions, these print each operand once (safe to nest into).
 _ELEMENT_OPS = {"tensor.extract", "tensor.insert", "memref.load", "memref.store"}
@@ -465,18 +444,10 @@ class Emitter:
 
     def _emit_expression(self, op) -> None:
         operands = [self.operand(o) for o in op.operands]
-        self.bind(op.result(), self.FORMATS[op.name].format(*operands))
+        self.bind(op.result(), _format(self.FORMATS[op.name], op, operands))
 
     def _emit_arith_constant(self, op) -> None:
         pass  # printed as a literal by name()
-
-    def _emit_cmp(self, op) -> None:
-        sym = _CMPOPS[op.attributes["predicate"].value]
-        a, b = self.operand(op.operand(0)), self.operand(op.operand(1))
-        self.bind(op.result(), f"({a} {sym} {b})")
-
-    _emit_arith_cmpf = _emit_cmp
-    _emit_arith_cmpi = _emit_cmp
 
     # ---- func ----------------------------------------------------------------
 
@@ -739,15 +710,11 @@ class Emitter:
 
     def _emit_region_op(self, op: Operation, mapping: Dict[int, str]) -> None:
         args = [mapping.get(id(v)) or self.name(v) for v in op.operands]
+        fmt = getattr(op, "ARRAY", None)
         if op.name == "arith.constant":
             expr = repr(op.attributes["value"].value)
-        elif op.name in _ELEMENTWISE:
-            expr = FORMATS[op.name].format(*args)
-        elif op.name == "arith.select":
-            expr = "_np.where({0}, {1}, {2})".format(*args)
-        elif op.name in ("arith.cmpf", "arith.cmpi"):
-            sym = _CMPOPS[op.attributes["predicate"].value]
-            expr = f"{args[0]} {sym} {args[1]}"
+        elif fmt is not None:
+            expr = _format(fmt, op, args)
         else:
             raise BackendError(
                 f"{op.name!r} cannot be emitted as a whole-array expression"

@@ -24,10 +24,9 @@ asserts bit-identical numerics between levels 0 and 2.
 
 from __future__ import annotations
 
-import math
-import operator
 from typing import Callable, Dict, List, Union
 
+from repro.dialects.arith import CMP, DivFOp, MulFOp, value_ops
 from repro.ir.attributes import Attribute, FloatAttr, IntegerAttr
 from repro.ir.indexing import ARITH_OPS, fold, literal
 from repro.ir.operation import Operation
@@ -40,45 +39,20 @@ from repro.ir.values import BlockArgument, OpResult, Value
 # Effects model: which operations the optimizer may touch.
 # ---------------------------------------------------------------------------
 
+#: The value ops' records; their ``EFFECT`` says what may be speculated.
+_VALUE_OPS = value_ops()
+
 #: Side-effect-free ops whose results are pure functions of their operands:
 #: safe to CSE (given identical operands) and to DCE when unused.
-_PURE_OPS = frozenset(
-    {
-        "arith.constant",
-        "arith.addf",
-        "arith.subf",
-        "arith.mulf",
-        "arith.divf",
-        "arith.negf",
-        "arith.maximumf",
-        "arith.minimumf",
-        "arith.addi",
-        "arith.subi",
-        "arith.muli",
-        "arith.floordivi",
-        "arith.remi",
-        "arith.minsi",
-        "arith.maxsi",
-        "arith.cmpf",
-        "arith.cmpi",
-        "arith.select",
-        "arith.index_cast",
-        "arith.sitofp",
-        "math.sqrt",
-        "math.absf",
-        "math.exp",
-        "math.log",
-        "math.fma",
-        "math.powf",
-        "tensor.dim",
-        "tensor.extract",
-        "tensor.extract_slice",
-        "vector.broadcast",
-        "vector.extract",
-        "vector.fma",
-        "vector.transfer_read",
-    }
-)
+_PURE_OPS = frozenset(_VALUE_OPS) | {
+    "arith.constant",
+    "tensor.dim",
+    "tensor.extract",
+    "tensor.extract_slice",
+    "vector.broadcast",
+    "vector.extract",
+    "vector.transfer_read",
+}
 
 #: Ops eligible for CSE. Pure ops only: ``tensor.empty`` and the
 #: functional-update ops are deliberately excluded — each application
@@ -102,18 +76,13 @@ _DCE_ONLY_OPS = frozenset(
 #: have run zero iterations cannot raise. Scalar indexing
 #: (``tensor.extract``, ``vector.transfer_read``) is excluded — a hoisted
 #: out-of-range index would fault in the emitted Python — while slicing
-#: (``tensor.extract_slice``) clamps and is always safe.
-_SPECULATABLE_OPS = _PURE_OPS - {
-    "tensor.extract",
-    "vector.transfer_read",
-    # Division: only speculatable with a provably nonzero divisor, handled
-    # separately in :func:`_hoistable`.
-    "arith.divf",
-    "arith.floordivi",
-    "arith.remi",
+#: (``tensor.extract_slice``) clamps and is always safe. A value op whose
+#: ``EFFECT`` is ``"divides"`` is speculated only with a nonzero constant
+#: divisor (:meth:`LICMPass._hoistable`), a ``"may-raise"`` one never.
+_SPECULATABLE_OPS = _PURE_OPS - {"tensor.extract", "vector.transfer_read"} - {
+    name for name, op in _VALUE_OPS.items() if op.EFFECT != "pure"
 }
-
-_GUARDED_DIV_OPS = frozenset({"arith.divf", "arith.floordivi", "arith.remi"})
+_DIVIDING_OPS = frozenset(n for n, op in _VALUE_OPS.items() if op.EFFECT == "divides")
 
 #: Region-carrying ops whose single body block is a loop body.
 _LOOP_OPS = frozenset({"scf.for", "scf.parallel", "cfd.tiled_loop"})
@@ -122,34 +91,6 @@ _LOOP_OPS = frozenset({"scf.for", "scf.parallel", "cfd.tiled_loop"})
 # ---------------------------------------------------------------------------
 # Constant folding.
 # ---------------------------------------------------------------------------
-
-#: Folders over float constants (integer arithmetic folds through
-#: :func:`repro.ir.indexing.fold`). ``maximumf``/``minimumf`` are left out:
-#: the backend lowers them to ``_np.maximum``/``minimum`` whose NaN
-#: propagation differs from Python's ``max``/``min``.
-_FLOAT_FOLDS: Dict[str, Callable[[float, float], float]] = {
-    "arith.addf": operator.add,
-    "arith.subf": operator.sub,
-    "arith.mulf": operator.mul,
-    "arith.divf": operator.truediv,
-}
-
-_CMP_FOLDS: Dict[str, Callable[[float, float], bool]] = {
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "lt": operator.lt,
-    "le": operator.le,
-    "gt": operator.gt,
-    "ge": operator.ge,
-}
-
-_UNARY_FLOAT_FOLDS: Dict[str, Callable[[float], float]] = {
-    "arith.negf": operator.neg,
-    "math.sqrt": math.sqrt,
-    "math.absf": abs,
-    "math.exp": math.exp,
-    "math.log": math.log,
-}
 
 
 class _FoldArith(RewritePattern):
@@ -167,16 +108,15 @@ class _FoldArith(RewritePattern):
                 rewriter.replace_op(op, [folded])
                 return True
             return self._replace_with_constant(op, rewriter, folded)
-        if name in _FLOAT_FOLDS:
-            return self._fold_binary(op, rewriter)
-        if name in _UNARY_FLOAT_FOLDS:
-            return self._fold_unary(op, rewriter)
-        if name in ("arith.cmpi", "arith.cmpf"):
+        record = _VALUE_OPS.get(name)
+        if record is None:
+            return False
+        if record.FOLD is not None:
+            return self._fold_float(op, record.FOLD, rewriter)
+        if record.TYPE.startswith("cmp"):
             return self._fold_cmp(op, rewriter)
-        if name == "arith.select":
+        if record.TYPE == "select":
             return self._fold_select(op, rewriter)
-        if name == "arith.sitofp":
-            return self._fold_sitofp(op, rewriter)
         return False
 
     # -- helpers ----------------------------------------------------------
@@ -194,39 +134,27 @@ class _FoldArith(RewritePattern):
         rewriter.replace_op(op, [const.result()])
         return True
 
-    def _fold_binary(self, op: Operation, rewriter: PatternRewriter) -> bool:
-        a = literal(op.operand(0))
-        b = literal(op.operand(1))
-        name = op.name
-        if a is not None and b is not None:
-            if name == "arith.divf" and b == 0:
+    def _fold_float(self, op: Operation, fn: Callable, rewriter: PatternRewriter) -> bool:
+        args = [literal(o) for o in op.operands]
+        if None not in args and isinstance(op.result().type, FloatType):
+            try:
+                value = fn(*args)
+            except (ArithmeticError, ValueError):  # what the kernel raises
                 return False
-            return self._replace_with_constant(
-                op, rewriter, _FLOAT_FOLDS[name](a, b)
-            )
+            return self._replace_with_constant(op, rewriter, value)
         # Identities are limited to `x * 1.0` and `x / 1.0`, which are
         # bit-exact for every IEEE input (including NaN, infinities and
         # signed zeros).
-        lhs, rhs = op.operand(0), op.operand(1)
-        if name in ("arith.mulf", "arith.divf") and b == 1.0:
+        if op.num_operands != 2:
+            return False
+        (a, b), (lhs, rhs) = args, op.operands
+        if op.name in (MulFOp.OP_NAME, DivFOp.OP_NAME) and b == 1.0:
             rewriter.replace_op(op, [lhs])
             return True
-        if name == "arith.mulf" and a == 1.0:
+        if op.name == MulFOp.OP_NAME and a == 1.0:
             rewriter.replace_op(op, [rhs])
             return True
         return False
-
-    def _fold_unary(self, op: Operation, rewriter: PatternRewriter) -> bool:
-        a = literal(op.operand(0))
-        if a is None or not isinstance(op.result().type, FloatType):
-            return False
-        if op.name == "math.sqrt" and a < 0:
-            return False
-        if op.name == "math.log" and a <= 0:
-            return False
-        return self._replace_with_constant(
-            op, rewriter, _UNARY_FLOAT_FOLDS[op.name](a)
-        )
 
     def _fold_cmp(self, op: Operation, rewriter: PatternRewriter) -> bool:
         a = literal(op.operand(0))
@@ -234,7 +162,7 @@ class _FoldArith(RewritePattern):
         if a is None or b is None:
             return False
         predicate = op.attributes["predicate"].value  # type: ignore[union-attr]
-        return self._replace_with_constant(op, rewriter, int(_CMP_FOLDS[predicate](a, b)))
+        return self._replace_with_constant(op, rewriter, int(CMP[predicate][1](a, b)))
 
     def _fold_select(self, op: Operation, rewriter: PatternRewriter) -> bool:
         cond = literal(op.operand(0))
@@ -242,12 +170,6 @@ class _FoldArith(RewritePattern):
             return False
         rewriter.replace_op(op, [op.operand(1) if cond else op.operand(2)])
         return True
-
-    def _fold_sitofp(self, op: Operation, rewriter: PatternRewriter) -> bool:
-        a = literal(op.operand(0))
-        if a is None or not isinstance(op.result().type, FloatType):
-            return False
-        return self._replace_with_constant(op, rewriter, float(a))
 
 
 class ConstantFoldPass(Pass):
@@ -340,7 +262,7 @@ class LICMPass(Pass):
     def _hoistable(cls, op: Operation, loop: Operation) -> bool:
         if op.regions or op.num_results == 0:
             return False
-        if op.name in _GUARDED_DIV_OPS:
+        if op.name in _DIVIDING_OPS:
             divisor = literal(op.operand(1))
             if divisor is None or divisor == 0:
                 return False

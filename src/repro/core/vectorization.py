@@ -45,21 +45,8 @@ from repro.ir.types import VectorType, f64
 from repro.ir.values import Value
 
 #: Region operations that lift elementwise to vectors.
-_VECTORIZABLE_OPS = {
-    "arith.constant",
-    "arith.addf",
-    "arith.subf",
-    "arith.mulf",
-    "arith.divf",
-    "arith.negf",
-    "arith.maximumf",
-    "arith.minimumf",
-    "math.sqrt",
-    "math.absf",
-    "math.exp",
-    "math.log",
-    "math.powf",
-    "math.fma",
+_VECTORIZABLE_OPS = {"arith.constant"} | {
+    name for name, op in arith.value_ops().items() if op.LANEWISE
 }
 
 

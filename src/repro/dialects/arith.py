@@ -7,11 +7,12 @@ scalar payload unchanged (§3.5 of the paper).
 
 from __future__ import annotations
 
-from typing import Union
+import operator
+from typing import Callable, Dict, Optional, Union
 
 from repro.ir.attributes import Attribute, FloatAttr, IntegerAttr, StringAttr
 from repro.ir.builder import OpBuilder
-from repro.ir.operation import Operation, register_op
+from repro.ir.operation import Operation, OpRegistry, register_op
 from repro.ir.types import (
     FloatType,
     IndexType,
@@ -77,228 +78,250 @@ def const_index(builder: OpBuilder, value: int) -> Value:
     return ConstantOp.build(builder, IntegerAttr(int(value), index)).result()
 
 
-class _BinaryOp(Operation):
-    """Shared implementation of same-type binary operations."""
+#: Comparison predicates of CmpFOp / CmpIOp -> (symbol, function).
+CMP = {
+    "eq": ("==", operator.eq), "ne": ("!=", operator.ne),
+    "lt": ("<", operator.lt), "le": ("<=", operator.le),
+    "gt": (">", operator.gt), "ge": (">=", operator.ge),
+}
+CMP_PREDICATES = tuple(CMP)
 
-    REQUIRES: str = "any"  # "float", "int" or "any"
+_KINDS = {
+    "float": _is_float_like,
+    "int": _is_int_like,
+    "vector-float": lambda t: isinstance(t, VectorType) and _is_float_like(t),
+}
+
+
+class ValueOp(Operation):
+    """A value op as a record: class attributes hold each fact about it,
+    read by :meth:`build`, :meth:`verify_`, the printers, the optimizer
+    and the vectorizer (:func:`value_ops`).
+
+    * ``ARITY`` — operand count (the result is one);
+    * ``TYPE`` — the type rule: ``float``/``int``/``vector-float``
+      (operands and result one type of that kind), ``cmp:<kind>`` (two
+      operands of that kind, an ``i1`` result, a ``predicate``),
+      ``select`` (an ``i1`` and two operands of the result type) or
+      ``cast:<kind>`` (an integer-like operand to a ``<kind>`` result);
+    * ``NUMPY`` — the Python/NumPy expression over the printed operands
+      (``{cmp}`` is a predicate's symbol); ``ARRAY`` — the whole-array
+      form (``linalg.generic`` payloads), ``NUMPY`` unless it differs,
+      ``None`` where there is none; ``C`` — the native tier's, ``None``
+      where it is not native;
+    * ``EFFECT`` — ``"pure"`` (never raises, so it may be speculated),
+      ``"divides"`` (raises only on a zero operand 1) or ``"may-raise"``;
+    * ``LANEWISE`` — lifts to vectors lane by lane (§3.5);
+    * ``FOLD`` — constant folding's function, given only to correctly
+      rounded ops, so that a folded literal is what the kernel computes.
+    """
+
+    ARITY: int
+    TYPE: str
+    NUMPY: str
+    ARRAY: Optional[str]
+    C: Optional[str]
+    EFFECT = "pure"
+    LANEWISE = False
+    FOLD: Optional[Callable] = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "NUMPY" in vars(cls) and "ARRAY" not in vars(cls):
+            cls.ARRAY = cls.NUMPY
+        if "TYPE" in vars(cls):  # (rule, kind), parsed once for verify_
+            cls._rule = cls.TYPE.partition(":")[::2]
 
     @classmethod
-    def build(cls, builder: OpBuilder, lhs: Value, rhs: Value) -> "_BinaryOp":
-        return builder.create(cls.OP_NAME, [lhs, rhs], [lhs.type])  # type: ignore[return-value]
-
-    @property
-    def lhs(self) -> Value:
-        return self.operand(0)
-
-    @property
-    def rhs(self) -> Value:
-        return self.operand(1)
+    def build(cls, builder: OpBuilder, *args):
+        """``(predicate,)? operands... (result type of a cast)?``"""
+        rule, attrs = cls._rule[0], {}
+        if rule == "cmp":
+            predicate, *args = args
+            if predicate not in CMP:
+                raise ValueError(f"unknown comparison predicate {predicate!r}")
+            attrs["predicate"] = StringAttr(predicate)
+            result = i1
+        elif rule == "cast":
+            result = args[1] if len(args) > 1 else f64
+        else:
+            result = args[rule == "select"].type
+        return builder.create(cls.OP_NAME, args[: cls.ARITY], [result], attrs)
 
     def verify_(self) -> None:
-        if self.num_operands != 2 or self.num_results != 1:
-            raise ValueError(f"{self.name} must have 2 operands and 1 result")
-        lhs, rhs = self.operand(0), self.operand(1)
-        if lhs.type != rhs.type or self.result().type != lhs.type:
-            raise ValueError(
-                f"{self.name}: operand/result types disagree "
-                f"({lhs.type}, {rhs.type}) -> {self.result().type}"
-            )
-        if self.REQUIRES == "float" and not _is_float_like(lhs.type):
-            raise ValueError(f"{self.name} requires float operands, got {lhs.type}")
-        if self.REQUIRES == "int" and not _is_int_like(lhs.type):
-            raise ValueError(f"{self.name} requires integer operands, got {lhs.type}")
+        operands = self.operands
+        if len(operands) != self.ARITY or len(self.results) != 1:
+            raise ValueError(f"needs {self.ARITY} operand(s) and 1 result")
+        rule, kind = self._rule
+        first, result = operands[0].type, self.results[0].type
+        if rule == "cast":
+            if not (_is_int_like(first) and _KINDS[kind](result)):
+                raise ValueError(f"casts integer-like to {kind}, not {first} -> {result}")
+            return
+        if rule == "select":
+            if first != i1:
+                raise ValueError("condition must be i1")
+            operands, first = operands[1:], operands[1].type
+        for other in operands[1:]:
+            if other.type != first:
+                raise ValueError(f"operand types disagree: {first}, {other.type}")
+        if rule == "cmp":
+            pred = self.attributes.get("predicate")
+            if not isinstance(pred, StringAttr) or pred.value not in CMP:
+                raise ValueError("bad or missing predicate")
+        if result != (i1 if rule == "cmp" else first):
+            raise ValueError(f"result type {result} does not fit {first}")
+        check = _KINDS.get(kind or rule)
+        if check is not None and not check(first):
+            raise ValueError(f"requires {kind or rule} operands, got {first}")
+
+
+def value_ops() -> Dict[str, type]:
+    """Every registered :class:`ValueOp` record by name."""
+    from repro.dialects import math, vector  # noqa: F401 (their records)
+
+    return {name: cls for name in OpRegistry.registered_names()
+            if issubclass(cls := OpRegistry.lookup(name), ValueOp)}
 
 
 @register_op
-class AddFOp(_BinaryOp):
-    OP_NAME = "arith.addf"
-    REQUIRES = "float"
+class AddFOp(ValueOp):
+    OP_NAME, ARITY, TYPE = "arith.addf", 2, "float"
+    NUMPY = C = "({0} + {1})"
+    LANEWISE, FOLD = True, operator.add
 
 
 @register_op
-class SubFOp(_BinaryOp):
-    OP_NAME = "arith.subf"
-    REQUIRES = "float"
+class SubFOp(ValueOp):
+    OP_NAME, ARITY, TYPE = "arith.subf", 2, "float"
+    NUMPY = C = "({0} - {1})"
+    LANEWISE, FOLD = True, operator.sub
 
 
 @register_op
-class MulFOp(_BinaryOp):
-    OP_NAME = "arith.mulf"
-    REQUIRES = "float"
+class MulFOp(ValueOp):
+    OP_NAME, ARITY, TYPE = "arith.mulf", 2, "float"
+    NUMPY = C = "({0} * {1})"
+    LANEWISE, FOLD = True, operator.mul
 
 
 @register_op
-class DivFOp(_BinaryOp):
-    OP_NAME = "arith.divf"
-    REQUIRES = "float"
+class DivFOp(ValueOp):
+    """A scalar zero divisor raises (``E_DIV`` natively); lanes give inf."""
+
+    OP_NAME, ARITY, TYPE = "arith.divf", 2, "float"
+    NUMPY, C = "({0} / {1})", "_div({0}, {1}, &_err)"
+    EFFECT, LANEWISE, FOLD = "divides", True, operator.truediv
 
 
 @register_op
-class MaximumFOp(_BinaryOp):
-    OP_NAME = "arith.maximumf"
-    REQUIRES = "float"
+class MaximumFOp(ValueOp):
+    """NumPy's NaN propagation, so not folded with Python's ``max``."""
+
+    OP_NAME, ARITY, TYPE = "arith.maximumf", 2, "float"
+    NUMPY, C = "_np.maximum({0}, {1})", "_FMAX({0}, {1})"
+    LANEWISE = True
 
 
 @register_op
-class MinimumFOp(_BinaryOp):
-    OP_NAME = "arith.minimumf"
-    REQUIRES = "float"
+class MinimumFOp(ValueOp):
+    OP_NAME, ARITY, TYPE = "arith.minimumf", 2, "float"
+    NUMPY, C = "_np.minimum({0}, {1})", "_FMIN({0}, {1})"
+    LANEWISE = True
 
 
 @register_op
-class AddIOp(_BinaryOp):
-    OP_NAME = "arith.addi"
-    REQUIRES = "int"
+class NegFOp(ValueOp):
+    OP_NAME, ARITY, TYPE = "arith.negf", 1, "float"
+    NUMPY = C = "(-{0})"
+    LANEWISE, FOLD = True, operator.neg
 
 
 @register_op
-class SubIOp(_BinaryOp):
-    OP_NAME = "arith.subi"
-    REQUIRES = "int"
+class AddIOp(ValueOp):
+    OP_NAME, ARITY, TYPE = "arith.addi", 2, "int"
+    NUMPY = C = "({0} + {1})"
 
 
 @register_op
-class MulIOp(_BinaryOp):
-    OP_NAME = "arith.muli"
-    REQUIRES = "int"
+class SubIOp(ValueOp):
+    OP_NAME, ARITY, TYPE = "arith.subi", 2, "int"
+    NUMPY = C = "({0} - {1})"
 
 
 @register_op
-class FloorDivIOp(_BinaryOp):
+class MulIOp(ValueOp):
+    OP_NAME, ARITY, TYPE = "arith.muli", 2, "int"
+    NUMPY = C = "({0} * {1})"
+
+
+@register_op
+class FloorDivIOp(ValueOp):
     """Floored division; used for VF-divisibility bounds (§3.5)."""
 
-    OP_NAME = "arith.floordivi"
-    REQUIRES = "int"
+    OP_NAME, ARITY, TYPE = "arith.floordivi", 2, "int"
+    NUMPY, C = "({0} // {1})", "_fdiv({0}, {1}, &_err)"
+    EFFECT = "divides"
 
 
 @register_op
-class RemIOp(_BinaryOp):
-    OP_NAME = "arith.remi"
-    REQUIRES = "int"
+class RemIOp(ValueOp):
+    OP_NAME, ARITY, TYPE = "arith.remi", 2, "int"
+    NUMPY, C = "({0} % {1})", "_mod({0}, {1}, &_err)"
+    EFFECT = "divides"
 
 
 @register_op
-class MinSIOp(_BinaryOp):
+class MinSIOp(ValueOp):
     """Signed minimum; clamps partial-tile sizes at domain boundaries."""
 
-    OP_NAME = "arith.minsi"
-    REQUIRES = "int"
+    OP_NAME, ARITY, TYPE = "arith.minsi", 2, "int"
+    NUMPY, ARRAY, C = "min({0}, {1})", None, "_MIN({0}, {1})"
 
 
 @register_op
-class MaxSIOp(_BinaryOp):
-    OP_NAME = "arith.maxsi"
-    REQUIRES = "int"
+class MaxSIOp(ValueOp):
+    OP_NAME, ARITY, TYPE = "arith.maxsi", 2, "int"
+    NUMPY, ARRAY, C = "max({0}, {1})", None, "_MAX({0}, {1})"
 
 
 @register_op
-class NegFOp(Operation):
-    OP_NAME = "arith.negf"
-
-    @classmethod
-    def build(cls, builder: OpBuilder, value: Value) -> "NegFOp":
-        return builder.create(cls.OP_NAME, [value], [value.type])  # type: ignore[return-value]
-
-    def verify_(self) -> None:
-        if self.num_operands != 1 or self.num_results != 1:
-            raise ValueError("arith.negf must have 1 operand and 1 result")
-        if not _is_float_like(self.operand(0).type):
-            raise ValueError("arith.negf requires a float operand")
-
-
-#: Comparison predicates accepted by CmpFOp / CmpIOp.
-CMP_PREDICATES = ("eq", "ne", "lt", "le", "gt", "ge")
-
-
-class _CmpOp(Operation):
-    @classmethod
-    def build(cls, builder: OpBuilder, predicate: str, lhs: Value, rhs: Value):
-        if predicate not in CMP_PREDICATES:
-            raise ValueError(f"unknown comparison predicate {predicate!r}")
-        return builder.create(
-            cls.OP_NAME, [lhs, rhs], [i1], {"predicate": StringAttr(predicate)}
-        )
-
-    @property
-    def predicate(self) -> str:
-        return self.attributes["predicate"].value  # type: ignore[union-attr]
-
-    def verify_(self) -> None:
-        pred = self.attributes.get("predicate")
-        if not isinstance(pred, StringAttr) or pred.value not in CMP_PREDICATES:
-            raise ValueError(f"{self.name}: bad or missing predicate")
-        if self.operand(0).type != self.operand(1).type:
-            raise ValueError(f"{self.name}: operand types disagree")
-        if self.result().type != i1:
-            raise ValueError(f"{self.name}: result must be i1")
+class CmpFOp(ValueOp):
+    OP_NAME, ARITY, TYPE = "arith.cmpf", 2, "cmp:float"
+    NUMPY = C = "({0} {cmp} {1})"
+    ARRAY = "{0} {cmp} {1}"
 
 
 @register_op
-class CmpFOp(_CmpOp):
-    OP_NAME = "arith.cmpf"
+class CmpIOp(ValueOp):
+    OP_NAME, ARITY, TYPE = "arith.cmpi", 2, "cmp:int"
+    NUMPY = C = "({0} {cmp} {1})"
+    ARRAY = "{0} {cmp} {1}"
 
 
 @register_op
-class CmpIOp(_CmpOp):
-    OP_NAME = "arith.cmpi"
-
-
-@register_op
-class SelectOp(Operation):
+class SelectOp(ValueOp):
     """``arith.select(cond, a, b)``: ternary select."""
 
-    OP_NAME = "arith.select"
-
-    @classmethod
-    def build(
-        cls, builder: OpBuilder, cond: Value, true_value: Value, false_value: Value
-    ) -> "SelectOp":
-        return builder.create(  # type: ignore[return-value]
-            cls.OP_NAME, [cond, true_value, false_value], [true_value.type]
-        )
-
-    def verify_(self) -> None:
-        if self.num_operands != 3:
-            raise ValueError("arith.select needs 3 operands")
-        if self.operand(0).type != i1:
-            raise ValueError("arith.select condition must be i1")
-        if self.operand(1).type != self.operand(2).type:
-            raise ValueError("arith.select branch types disagree")
-        if self.result().type != self.operand(1).type:
-            raise ValueError("arith.select result type mismatch")
+    OP_NAME, ARITY, TYPE = "arith.select", 3, "select"
+    NUMPY, ARRAY, C = "({1} if {0} else {2})", "_np.where({0}, {1}, {2})", "({0} ? {1} : {2})"
 
 
 @register_op
-class IndexCastOp(Operation):
+class IndexCastOp(ValueOp):
     """Cast between index and fixed-width integers (schedule bookkeeping)."""
 
-    OP_NAME = "arith.index_cast"
-
-    @classmethod
-    def build(cls, builder: OpBuilder, value: Value, result_type: Type):
-        return builder.create(cls.OP_NAME, [value], [result_type])
-
-    def verify_(self) -> None:
-        src, dst = self.operand(0).type, self.result().type
-        if not (_is_int_like(src) and _is_int_like(dst)):
-            raise ValueError("arith.index_cast operates on integer-like types")
+    OP_NAME, ARITY, TYPE = "arith.index_cast", 1, "cast:int"
+    NUMPY, ARRAY, C = "int({0})", None, "((long)({0}))"
 
 
 @register_op
-class SIToFPOp(Operation):
+class SIToFPOp(ValueOp):
     """Signed integer (or index) to floating point conversion."""
 
-    OP_NAME = "arith.sitofp"
-
-    @classmethod
-    def build(cls, builder: OpBuilder, value: Value, result_type: Type = f64):
-        return builder.create(cls.OP_NAME, [value], [result_type])
-
-    def verify_(self) -> None:
-        if not _is_int_like(self.operand(0).type):
-            raise ValueError("arith.sitofp source must be integer-like")
-        if not _is_float_like(self.result().type):
-            raise ValueError("arith.sitofp result must be float-like")
+    OP_NAME, ARITY, TYPE = "arith.sitofp", 1, "cast:float"
+    NUMPY, ARRAY, C = "float({0})", None, "((double)({0}))"
+    FOLD = float
 
 
 # Builder-style free functions: the fluent API used by the passes.

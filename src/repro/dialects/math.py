@@ -1,94 +1,69 @@
 """The ``math`` dialect: libm-style functions and fused multiply-add.
 
 All operations are elementwise over vectors, like their MLIR namesakes.
+Only correctly rounded ones fold: libm's ``exp``/``log`` are not
+bit-identical to NumPy's, the tier kernels compute with.
 """
 
 from __future__ import annotations
 
+import math
+
+from repro.dialects.arith import ValueOp
 from repro.ir.builder import OpBuilder
-from repro.ir.operation import Operation, register_op
-from repro.ir.types import FloatType, VectorType
+from repro.ir.operation import register_op
 from repro.ir.values import Value
 
 
-def _is_float_like(t) -> bool:
-    if isinstance(t, VectorType):
-        t = t.element_type
-    return isinstance(t, FloatType)
-
-
-class _UnaryMathOp(Operation):
-    @classmethod
-    def build(cls, builder: OpBuilder, value: Value):
-        return builder.create(cls.OP_NAME, [value], [value.type])
-
-    def verify_(self) -> None:
-        if self.num_operands != 1 or self.num_results != 1:
-            raise ValueError(f"{self.name}: 1 operand, 1 result required")
-        if not _is_float_like(self.operand(0).type):
-            raise ValueError(f"{self.name}: float operand required")
-        if self.result().type != self.operand(0).type:
-            raise ValueError(f"{self.name}: result type must match operand")
-
-
 @register_op
-class SqrtOp(_UnaryMathOp):
+class SqrtOp(ValueOp):
     """Square root — the speed of sound in the Roe flux needs it."""
 
-    OP_NAME = "math.sqrt"
+    OP_NAME, ARITY, TYPE = "math.sqrt", 1, "float"
+    NUMPY, C = "_np.sqrt({0})", "sqrt({0})"
+    LANEWISE, FOLD = True, math.sqrt
 
 
 @register_op
-class AbsFOp(_UnaryMathOp):
+class AbsFOp(ValueOp):
     """Absolute value — wave-speed magnitudes in upwind fluxes."""
 
-    OP_NAME = "math.absf"
+    OP_NAME, ARITY, TYPE = "math.absf", 1, "float"
+    NUMPY, C = "_np.abs({0})", "fabs({0})"
+    LANEWISE, FOLD = True, abs
 
 
 @register_op
-class ExpOp(_UnaryMathOp):
-    OP_NAME = "math.exp"
+class ExpOp(ValueOp):
+    OP_NAME, ARITY, TYPE = "math.exp", 1, "float"
+    NUMPY, C = "_np.exp({0})", "exp({0})"
+    LANEWISE = True
 
 
 @register_op
-class LogOp(_UnaryMathOp):
-    OP_NAME = "math.log"
+class LogOp(ValueOp):
+    OP_NAME, ARITY, TYPE = "math.log", 1, "float"
+    NUMPY, C = "_np.log({0})", "log({0})"
+    LANEWISE = True
 
 
 @register_op
-class PowFOp(Operation):
-    OP_NAME = "math.powf"
+class PowFOp(ValueOp):
+    """Python's ``**`` raises (``0.0 ** -1.0``, overflow) where C's
+    ``pow()`` returns a value, so it is neither native nor speculated."""
 
-    @classmethod
-    def build(cls, builder: OpBuilder, base: Value, exponent: Value):
-        return builder.create(cls.OP_NAME, [base, exponent], [base.type])
-
-    def verify_(self) -> None:
-        if self.num_operands != 2:
-            raise ValueError("math.powf needs 2 operands")
-        if self.operand(0).type != self.operand(1).type:
-            raise ValueError("math.powf operand types disagree")
+    OP_NAME, ARITY, TYPE = "math.powf", 2, "float"
+    NUMPY, C = "({0} ** {1})", None
+    EFFECT, LANEWISE = "may-raise", True
 
 
 @register_op
-class FmaOp(Operation):
+class FmaOp(ValueOp):
     """``math.fma(a, b, c) = a*b + c`` — the workhorse of Fig. 7."""
 
-    OP_NAME = "math.fma"
-
-    @classmethod
-    def build(cls, builder: OpBuilder, a: Value, b: Value, c: Value):
-        return builder.create(cls.OP_NAME, [a, b, c], [a.type])
-
-    def verify_(self) -> None:
-        if self.num_operands != 3 or self.num_results != 1:
-            raise ValueError("math.fma needs 3 operands and 1 result")
-        t = self.operand(0).type
-        if not _is_float_like(t):
-            raise ValueError("math.fma requires float operands")
-        for i in (1, 2):
-            if self.operand(i).type != t:
-                raise ValueError("math.fma operand types disagree")
+    OP_NAME, ARITY, TYPE = "math.fma", 3, "float"
+    NUMPY = C = "({0} * {1} + {2})"
+    LANEWISE = True
 
 
 def sqrt(b: OpBuilder, x: Value) -> Value:

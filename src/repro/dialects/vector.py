@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from repro.dialects.arith import ValueOp
 from repro.ir.attributes import IntegerAttr
 from repro.ir.builder import OpBuilder
 from repro.ir.operation import Operation, register_op
@@ -172,21 +173,8 @@ class VectorExtractOp(Operation):
 
 
 @register_op
-class VectorFMAOp(Operation):
+class VectorFMAOp(ValueOp):
     """``vector.fma(a, b, c) = a*b + c`` elementwise on vectors."""
 
-    OP_NAME = "vector.fma"
-
-    @classmethod
-    def build(cls, builder: OpBuilder, a: Value, b: Value, c: Value):
-        return builder.create(cls.OP_NAME, [a, b, c], [a.type])
-
-    def verify_(self) -> None:
-        t = self.operand(0).type
-        if not isinstance(t, VectorType):
-            raise ValueError("vector.fma operates on vectors")
-        for i in (1, 2):
-            if self.operand(i).type != t:
-                raise ValueError("vector.fma operand types disagree")
-        if self.result().type != t:
-            raise ValueError("vector.fma result type mismatch")
+    OP_NAME, ARITY, TYPE = "vector.fma", 3, "vector-float"
+    NUMPY = C = "({0} * {1} + {2})"

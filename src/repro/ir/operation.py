@@ -57,7 +57,7 @@ class Operation:
     usually provide a ``build(...)`` classmethod for ergonomic creation.
     """
 
-    #: Dotted operation name, e.g. ``"arith.addf"``; set by subclasses.
+    #: Dotted operation name, e.g. ``arith.addf``; set by subclasses.
     OP_NAME: str = ""
 
     def __init__(

@@ -7,7 +7,12 @@ from repro.core.optimize import (
     LICMPass,
     optimization_pipeline,
 )
-from repro.dialects import arith, scf
+import numpy as np
+
+from repro.core import frontend
+from repro.core.pipeline import CompileOptions, StencilCompiler
+from repro.core.stencil import gauss_seidel_5pt_2d
+from repro.dialects import arith, math, scf
 from repro.ir import ModuleOp, PassManager
 from repro.ir.attributes import FloatAttr, IntegerAttr
 from repro.ir.builder import OpBuilder
@@ -114,6 +119,50 @@ class TestConstantFold:
         _run(module, ConstantFoldPass())
         use = module.body.operations[-1]
         assert use.operand(0) is x
+
+
+def _exp_divisor_kernel(exponent, opt_level):
+    """A 10^2 Gauss-Seidel sweep dividing by ``math.exp(exponent)``."""
+
+    def body(builder, args):
+        d = math.ExpOp.build(builder, arith.const_f64(builder, exponent)).result()
+        zero = arith.const_f64(builder, 0.0)
+        return d, [*args[:-1], zero]
+
+    module = frontend.build_stencil_kernel(gauss_seidel_5pt_2d(), (10, 10), body)
+    return StencilCompiler(
+        CompileOptions(opt_level=opt_level, use_cache=False)).compile(module)
+
+
+class TestFoldMatchesTheKernel:
+    """A folded literal is the bits the unfolded op computes: libm's
+    ``exp``/``log`` are not NumPy's, so they are not folded."""
+
+    def test_exp_divisor_is_bit_identical_between_o0_and_o2(self):
+        x = np.random.default_rng(0).standard_normal((1, 10, 10))
+        b = np.random.default_rng(1).standard_normal((1, 10, 10))
+        (o0,) = _exp_divisor_kernel(4.808353387762301, 0)(x, b, x.copy())
+        (o2,) = _exp_divisor_kernel(4.808353387762301, 2)(x, b, x.copy())
+        np.testing.assert_array_equal(o0, o2)
+
+    def test_an_overflowing_exp_compiles_at_o2(self):
+        x = np.ones((1, 10, 10))
+        with np.errstate(over="ignore"):  # exp(1000.0) is inf
+            (o0,) = _exp_divisor_kernel(1000.0, 0)(x, x, x.copy())
+            (o2,) = _exp_divisor_kernel(1000.0, 2)(x, x, x.copy())
+        np.testing.assert_array_equal(o0, o2)
+
+    def test_exp_and_log_of_literals_stay_and_sqrt_folds(self):
+        module, b = _empty_module()
+        two = arith.const_f64(b, 2.0)
+        b.create("test.use", [
+            math.ExpOp.build(b, two).result(), math.LogOp.build(b, two).result(),
+            math.sqrt(b, two), math.sqrt(b, arith.const_f64(b, -1.0)),
+        ])
+        _run(module, ConstantFoldPass())
+        names = _ops(module)
+        assert "math.exp" in names and "math.log" in names
+        assert names.count("math.sqrt") == 1  # sqrt(-1.0) raises, so stays
 
 
 class TestCSE:
@@ -223,6 +272,21 @@ class TestLICM:
         body_names = [op.name for op in loop.body.operations]
         assert body_names.count("arith.floordivi") == 1
         assert "arith.floordivi" in _ops(module)
+
+    def test_powf_may_raise_so_stays_while_sqrt_is_hoisted(self):
+        module, loop, body, hi, one = self._loop_with_body()
+        outer = OpBuilder.before(loop)
+        x = outer.create("test.def", result_types=[f64]).result()
+        y = outer.create("test.def", result_types=[f64]).result()
+        pow_ = math.PowFOp.build(body, x, y).result()  # 0.0 ** -1.0 raises
+        root = math.sqrt(body, x)
+        body.create("test.use", [pow_, root, loop.induction_var])
+        scf.YieldOp.build(body)
+        _run(module, LICMPass())
+        body_names = [op.name for op in loop.body.operations]
+        assert "math.powf" in body_names and "math.sqrt" not in body_names
+        assert "math.sqrt" in _ops(module)
+        verify(module)
 
 
 class TestPipelineIntegration:
