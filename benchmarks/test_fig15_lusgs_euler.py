@@ -12,6 +12,11 @@ paper's metric::
 1-thread points are measured; the thread curves come from the Xeon 6152
 simulator with each implementation's sub-domain schedule at the paper's
 512^3 scale (elsA plotted up to one socket's 22 cores, as in the paper).
+
+The curves are priced on the NumPy tier (pinned: repeated calls would
+otherwise tier up mid-measurement). Beside them the generated solver is
+timed once more on the native tier, where its flux producer and both
+sweeps print as C; ``None`` where this host has no compiler.
 """
 
 import numpy as np
@@ -96,6 +101,11 @@ def test_fig15_lusgs_vs_elsa(benchmark, setup):
     mlir_t = time_callable(
         lambda: kernel.call_tier("numpy", w_padded.copy()), repeats=2
     )
+    native_t = None
+    if kernel.wait_native(120):
+        native_t = time_callable(
+            lambda: kernel.call_tier("native", w_padded.copy()), repeats=5
+        )
     elsa_t = benchmark.pedantic(
         lambda: elsa_solve(w0, config, steps=STEPS), rounds=2, iterations=1
     )
@@ -126,7 +136,13 @@ def test_fig15_lusgs_vs_elsa(benchmark, setup):
             ),
         )
     )
-    save_results("fig15_lusgs_euler", {"tier": "numpy", **curves})
+    print("measured 1-thread seconds [NumPy tier | native tier | elsA]:")
+    shown = "-" if native_t is None else f"{native_t * 1e3:.2f} ms"
+    print(f"  {mlir_t * 1e3:.2f} ms | {shown} | {elsa_t * 1e3:.2f} ms")
+    save_results("fig15_lusgs_euler", {
+        "tier": "numpy", **curves,
+        "measured_seconds": {"numpy": mlir_t, "native": native_t, "elsa": elsa_t},
+    })
 
     # Paper shape: generated ~= hand-optimized (same order of magnitude;
     # the paper's curves overlap).

@@ -268,7 +268,7 @@ _HANDLERS["math.sqrt"] = lambda i, op: i.set(op.result(), np.sqrt(i.get(op.opera
 _HANDLERS["math.absf"] = lambda i, op: i.set(op.result(), np.abs(i.get(op.operand(0))))
 _HANDLERS["math.exp"] = lambda i, op: i.set(op.result(), np.exp(i.get(op.operand(0))))
 _HANDLERS["math.log"] = lambda i, op: i.set(op.result(), np.log(i.get(op.operand(0))))
-_HANDLERS["math.powf"] = _binary(lambda a, b: a**b)
+_HANDLERS["math.powf"] = _binary(np.power)
 
 
 @handler("math.fma")
@@ -523,6 +523,16 @@ def _vector_fma(interp, op):
 # ---------------------------------------------------------------------------
 
 
+def _cell(interp, body: Block, args: List[float]) -> List[Any]:
+    """A whole-array op's payload on one cell, meaning what it does over
+    arrays: a zero divisor gives inf (NumPy scalars), not an exception."""
+    try:
+        return interp.eval_block(body, args)
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return interp.eval_block(body, [np.float64(a) for a in args])
+
+
 @handler("linalg.generic")
 def _generic(interp, op: GenericOp):
     n = op.num_ins
@@ -544,7 +554,7 @@ def _generic(interp, op: GenericOp):
             for a, off in zip(ins, offsets)
         ]
         args.append(float(out[i]))
-        out[i] = interp.eval_block(body, args)[0]
+        out[i] = _cell(interp, body, args)[0]
     interp.set(op.result(), out)
 
 
@@ -625,15 +635,18 @@ def _face_iterator(interp, op: FaceIteratorOp):
     nv = op.nb_var
     space_shape = x.shape[1:]
     body = op.regions[0].entry_block
+    # Backwards along the axis: each cell's ``-=`` comes before its ``+=``,
+    # the order of the whole-array statements ``b[v, :-1] -= f`` then
+    # ``b[v, 1:] += f`` the NumPy tier runs (a sum's rounding depends on it).
     face_ranges = [
-        range(n - 1) if d == axis else range(n)
+        range(n - 2, -1, -1) if d == axis else range(n)
         for d, n in enumerate(space_shape)
     ]
     for i in itertools.product(*face_ranges):
         j = tuple(ii + (1 if d == axis else 0) for d, ii in enumerate(i))
         args = [float(x[(v,) + i]) for v in range(nv)]
         args += [float(x[(v,) + j]) for v in range(nv)]
-        flux = interp.eval_block(body, args)
+        flux = _cell(interp, body, args)
         for v in range(nv):
             b[(v,) + i] -= flux[v]
             b[(v,) + j] += flux[v]

@@ -20,8 +20,9 @@ ownership, expression nesting, deferred stores — and prints through a
 few *syntax methods* (``declare``, ``block``, ``load``, ``store_row``,
 ... and the :data:`FORMATS` table). The C printer
 (:mod:`repro.codegen.c_backend`) overrides only those and is forked over
-the body of every outermost ``cfd.tiled_loop``: the walk that prints
-``def blkN(lin)`` also prints ``int blkN(...)``, same SSA names.
+the body of every outermost ``cfd.tiled_loop``, and over every run of
+whole-array ops outside one: the walk that prints ``def blkN(lin)`` (or
+the run's NumPy statements) also prints ``int blkN(...)``, same SSA names.
 
 Buffer ownership: tensors are SSA values, but emitting a copy per
 ``tensor.insert`` would be quadratic. The emitter runs a static
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 from contextlib import ExitStack, contextmanager
+from itertools import groupby
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dialects.arith import CMP, value_ops
@@ -62,7 +64,7 @@ from repro.ir.values import OpResult, Value
 #: Version of the emission strategy. Part of every kernel-cache
 #: fingerprint: bump it whenever emitted code changes for the same IR, so
 #: persisted cache entries from older emitters are never reused.
-EMITTER_VERSION = "4"
+EMITTER_VERSION = "5"
 
 
 class BackendError(Exception):
@@ -106,6 +108,11 @@ def _format(fmt: str, op: Operation, operands: Sequence[str]) -> str:
 
 #: Like scalar expressions, these print each operand once (safe to nest into).
 _ELEMENT_OPS = {"tensor.extract", "tensor.insert", "memref.load", "memref.store"}
+
+
+#: Whole-array ops: a run of them outside any outlined loop is forked as
+#: one C function of its own.
+_ARRAY_OPS = {"linalg.fill", "linalg.generic", "cfd.faceIteratorOp"}
 
 
 def _is_buffer(t) -> bool:
@@ -183,6 +190,9 @@ class Emitter:
         #: Collects the C functions of outlined loops (``None``: off, and
         #: inside a loop that is already outlined).
         self.native = native
+        #: (id(op), operand index) -> the buffer a forked run's op updates,
+        #: taken before the fork so both twins update the same one.
+        self.taken: Dict[Tuple[int, int], str] = {}
 
     # ---- infrastructure -------------------------------------------------
 
@@ -305,6 +315,9 @@ class Emitter:
     def slice_store(self, dst: str, offs, sizes, src: str) -> None:
         self.emit(f"{dst}[{self._window(offs, sizes)}] = {src}")
 
+    def fill(self, buf: str, value: str, type) -> None:
+        self.emit(f"{buf}[...] = {value}")
+
     def _strip(self, idx: Sequence[str], lanes: str) -> str:
         return ", ".join([*idx[:-1], f"{idx[-1]}:{idx[-1]} + {lanes}"])
 
@@ -360,6 +373,9 @@ class Emitter:
         """The name of a buffer holding the operand's contents that the
         caller may mutate: the operand's own when it can be stolen, else
         a fresh copy."""
+        n = self.taken.get((id(op), operand_index))
+        if n is not None:
+            return n
         value = op.operand(operand_index)
         n = self.name(value)
         if self.can_steal(value, op):
@@ -407,17 +423,48 @@ class Emitter:
         self.emit("")
 
     def emit_block_body(self, block: Block) -> None:
-        term = block.terminator
-        for op in block.operations:
-            if op is term and op.name in (
-                "func.return",
-                "scf.yield",
-                "cfd.yield",
-                "linalg.yield",
-            ):
-                break
-            self.emit_op(op)
+        ops = block.operations
+        if ops and ops[-1].name in (
+            "func.return", "scf.yield", "cfd.yield", "linalg.yield"
+        ):
+            ops = ops[:-1]
+        for forked, run in groupby(
+            ops, lambda op: self.native is not None and op.name in _ARRAY_OPS
+        ):
+            if forked:
+                self._emit_run(list(run))
+            else:
+                for op in run:
+                    self.emit_op(op)
         self.flush()
+
+    def _emit_run(self, run: List[Operation]) -> None:
+        """Whole-array ops outside any outlined loop, as one C function
+        beside its NumPy twin. The buffers they update in place are taken
+        here first, so that both twins update the one this scope names."""
+        self.flush()
+        made = {id(r) for op in run for r in op.results}
+        for op in run:
+            dest = op.num_operands - 1  # fill, generic and faces alike
+            if id(op.operand(dest)) not in made:
+                self.taken[id(op), dest] = self.take(op, dest)
+        fn = self.fresh("blk")
+        bound = self.native.function(self, fn, (), lambda c: c.outline(run))
+        with self.twin(fn, bound):
+            for op in run:
+                self.emit_op(op)
+
+    @contextmanager
+    def twin(self, fn: str, bound: Optional[str]) -> Iterator[None]:
+        """What is printed inside runs only when the C function ``fn``,
+        bound to ``bound``, is not called instead."""
+        with ExitStack() as twin:
+            if bound:
+                self.emit(f'{fn} = _native and _native("{fn}", None, {bound})')
+                with self.block(f"if {fn}"):
+                    self.emit(f"{fn}(0)")
+                twin.enter_context(self.block("else"))
+            yield
 
     # ---- dispatch ---------------------------------------------------------
 
@@ -627,38 +674,28 @@ class Emitter:
 
     def _emit_linalg_fill(self, op) -> None:
         n = self.take(op, 1)
-        self.emit(f"{n}[...] = {self.name(op.operand(0))}")
+        self.fill(n, self.name(op.operand(0)), op.result().type)
         self.alias(op.result(), n, owned=True)
 
     def _emit_linalg_generic(self, op: GenericOp) -> None:
         n_ins = op.num_ins
-        offsets = op.offsets
-        margins = op.margins
-        rank = op.out_init.type.rank  # type: ignore[union-attr]
+        insets = op.insets()
         out = self.take(op, n_ins)
         self.alias(op.result(), out, owned=True)
-        los, his = [], []
-        for d in range(rank):
-            lo = max([0] + [-o[d] for o in offsets])
-            hi = max([0] + [o[d] for o in offsets])
-            m_lo, m_hi = margins[d]
-            los.append(max(lo, m_lo))
-            his.append(max(hi, m_hi))
 
         def window(off: Sequence[int]) -> str:
             parts = []
-            for d in range(rank):
-                lo = los[d] + off[d]
-                hi_shift = his[d] - off[d]
-                hi = f"{out}.shape[{d}] - {hi_shift}" if hi_shift else f"{out}.shape[{d}]"
-                parts.append(f"{lo}:{hi}")
+            for d, (lo, hi) in enumerate(insets):
+                hi_shift = hi - off[d]
+                stop = f"{out}.shape[{d}] - {hi_shift}" if hi_shift else f"{out}.shape[{d}]"
+                parts.append(f"{lo + off[d]}:{stop}")
             return ", ".join(parts)
 
         arg_exprs = [
             f"{self.name(in_v)}[{window(off)}]"
-            for in_v, off in zip(op.operands[:n_ins], offsets)
+            for in_v, off in zip(op.operands[:n_ins], op.offsets)
         ]
-        domain = window([0] * rank)
+        domain = window([0] * len(insets))
         arg_exprs.append(f"{out}[{domain}]")
         result = self._emit_elementwise_region(op.body, arg_exprs)
         self.emit(f"{out}[{domain}] = {result[0]}")
@@ -692,37 +729,37 @@ class Emitter:
     def _emit_elementwise_region(
         self, block: Block, arg_exprs: Sequence[str]
     ) -> List[str]:
-        """Emit a payload region as whole-array NumPy statements; returns
-        the expressions of the terminator operands."""
+        """Emit a payload region, each value bound once; returns the
+        expressions of the terminator operands."""
         mapping: Dict[int, str] = {}
         for arg, expr in zip(block.arguments, arg_exprs):
             if not arg.uses:
                 continue
             n = self.fresh("r")
-            self.emit(f"{n} = {expr}")
+            self.declare(n, expr, arg.type)
             mapping[id(arg)] = n
         term = block.terminator
         for op in block.operations:
             if op is term:
                 break
-            self._emit_region_op(op, mapping)
-        return [mapping.get(id(v), self.names.get(id(v), "?")) for v in term.operands]
+            expr = self.payload(op, [mapping.get(id(v)) or self.name(v)
+                                     for v in op.operands])
+            n = self.fresh("r")
+            self.declare(n, expr, op.result().type)
+            for res in op.results:
+                mapping[id(res)] = n
+        return [mapping.get(id(v)) or self.name(v) for v in term.operands]
 
-    def _emit_region_op(self, op: Operation, mapping: Dict[int, str]) -> None:
-        args = [mapping.get(id(v)) or self.name(v) for v in op.operands]
+    def payload(self, op: Operation, args: Sequence[str]) -> str:
+        """One op of a payload region over whole arrays."""
         fmt = getattr(op, "ARRAY", None)
         if op.name == "arith.constant":
-            expr = repr(op.attributes["value"].value)
-        elif fmt is not None:
-            expr = _format(fmt, op, args)
-        else:
+            return repr(op.attributes["value"].value)
+        if fmt is None:
             raise BackendError(
                 f"{op.name!r} cannot be emitted as a whole-array expression"
             )
-        n = self.fresh("r")
-        self.emit(f"{n} = {expr}")
-        for res in op.results:
-            mapping[id(res)] = n
+        return _format(fmt, op, args)
 
     # ---- cfd ------------------------------------------------------------------
 
@@ -759,7 +796,8 @@ class Emitter:
         # ``bound`` binds it to this scope's arrays and scalars (``None``:
         # the C printer does not cover an op of the body, or is off).
         native = self.native
-        bound = native and native.function(self, fn, grid, tile)
+        bound = native and native.function(
+            self, fn, grid, lambda c: c.tiles(*tile), lin)
         if bound:  # nothing inside the Python twin is outlined again
             self.native = None
         if op.has_groups:
@@ -786,12 +824,7 @@ class Emitter:
                 f"inplace={not moved}, certified=_PARALLEL_CERTIFIED)"
             )
         else:
-            with ExitStack() as twin:
-                if bound:  # the whole nest is one native call
-                    self.emit(f'{fn} = _native and _native("{fn}", None, {bound})')
-                    with self.block(f"if {fn}"):
-                        self.emit(f"{fn}(0)")
-                    twin.enter_context(self.block("else"))
+            with self.twin(fn, bound):  # the whole nest is one native call
                 self.tiles(*tile)
         self.native = native
         for res, n in zip(op.results, outs):

@@ -112,20 +112,22 @@ class GenericOp(Operation):
             return [(0, 0)] * out_t.rank
         return [(inner[0].value, inner[1].value) for inner in attr]
 
+    def insets(self) -> List[Tuple[int, int]]:
+        """Per-dimension ``(lo, hi)`` cells the iteration domain leaves out
+        at each end: every shifted access stays in bounds, and the explicit
+        margins hold."""
+        offsets = self.offsets
+        return [
+            (max([0, m_lo] + [-o[d] for o in offsets]),
+             max([0, m_hi] + [o[d] for o in offsets]))
+            for d, (m_lo, m_hi) in enumerate(self.margins)
+        ]
+
     def iteration_bounds(
         self, shape: Sequence[int]
     ) -> List[Tuple[int, int]]:
-        """Per-dimension ``[lo, hi)`` so every shifted access is in bounds,
-        further inset by the explicit margins."""
-        offsets = self.offsets
-        margins = self.margins
-        bounds = []
-        for d, n in enumerate(shape):
-            lo = max([0] + [-o[d] for o in offsets])
-            hi_margin = max([0] + [o[d] for o in offsets])
-            m_lo, m_hi = margins[d]
-            bounds.append((max(lo, m_lo), n - max(hi_margin, m_hi)))
-        return bounds
+        """Per-dimension ``[lo, hi)`` over an output of ``shape``."""
+        return [(lo, n - hi) for n, (lo, hi) in zip(shape, self.insets())]
 
     def halo(self) -> List[Tuple[int, int]]:
         """Per-dimension access halo (how far reads reach past a point):

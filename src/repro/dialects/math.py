@@ -49,11 +49,14 @@ class LogOp(ValueOp):
 
 @register_op
 class PowFOp(ValueOp):
-    """Python's ``**`` raises (``0.0 ** -1.0``, overflow) where C's
-    ``pow()`` returns a value, so it is neither native nor speculated."""
+    """``numpy.power`` on scalars and lanes alike: NaN for a negative base
+    and a non-integer exponent, ±inf on overflow, where Python's ``**``
+    would raise. Not native: NumPy's vectorised ``power`` and libm's
+    ``pow()`` differ in the last bit for some inputs. Not speculated
+    either: under ``numpy.errstate(all="raise")`` those inputs raise."""
 
     OP_NAME, ARITY, TYPE = "math.powf", 2, "float"
-    NUMPY, C = "({0} ** {1})", None
+    NUMPY, C = "_np.power({0}, {1})", None
     EFFECT, LANEWISE = "may-raise", True
 
 

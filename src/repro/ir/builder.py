@@ -9,7 +9,7 @@ in a block so the use-def machinery stays coherent.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.ir.attributes import Attribute
 from repro.ir.block import Block, Region
@@ -21,12 +21,28 @@ from repro.ir.values import Value
 class InsertionPoint:
     """A position inside a block: new ops are inserted *before* ``index``.
 
-    ``index=None`` means "at the end of the block".
+    ``index=None`` means "at the end of the block". A point made
+    :meth:`before` or :meth:`after` an op finds that op's index only at
+    its first insert (most are never used: the rewrite driver makes one
+    per op and pattern), so it stays next to the op even when other ops
+    were inserted ahead of it in the meantime.
     """
 
     def __init__(self, block: Block, index: Optional[int] = None) -> None:
         self.block = block
-        self.index = index
+        self._index = index
+        #: ``(op, 0 | 1)``: before / after ``op``, until the first insert
+        self._anchor: Optional[Tuple[Operation, int]] = None
+
+    @property
+    def index(self) -> Optional[int]:
+        if self._anchor is not None:
+            self._resolve()
+        return self._index
+
+    def _resolve(self) -> None:
+        op, shift = self._anchor
+        self._index, self._anchor = self.block.index_of(op) + shift, None
 
     @classmethod
     def at_end(cls, block: Block) -> "InsertionPoint":
@@ -38,22 +54,28 @@ class InsertionPoint:
 
     @classmethod
     def before(cls, op: Operation) -> "InsertionPoint":
-        if op.parent is None:
-            raise ValueError("operation is not inserted in a block")
-        return cls(op.parent, op.parent.index_of(op))
+        return cls._next_to(op, 0)
 
     @classmethod
     def after(cls, op: Operation) -> "InsertionPoint":
+        return cls._next_to(op, 1)
+
+    @classmethod
+    def _next_to(cls, op: Operation, shift: int) -> "InsertionPoint":
         if op.parent is None:
             raise ValueError("operation is not inserted in a block")
-        return cls(op.parent, op.parent.index_of(op) + 1)
+        ip = cls(op.parent)
+        ip._anchor = (op, shift)
+        return ip
 
     def insert(self, op: Operation) -> Operation:
-        if self.index is None:
+        if self._anchor is not None:
+            self._resolve()
+        if self._index is None:
             self.block.append(op)
         else:
-            self.block.insert(self.index, op)
-            self.index += 1
+            self.block.insert(self._index, op)
+            self._index += 1
         return op
 
 

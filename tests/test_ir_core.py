@@ -164,6 +164,20 @@ class TestBuilder:
             "test.last",
         ]
 
+    def test_anchored_point_finds_its_op_at_the_first_insert(self):
+        """A point made before (after) an op, with other ops inserted ahead
+        of it since, still inserts directly before (after) that op."""
+        block = Block()
+        last = block.append(create_operation("test.last"))
+        before, after = InsertionPoint.before(last), InsertionPoint.after(last)
+        OpBuilder.at_start(block).create("test.early")
+        OpBuilder(before).create("test.before")
+        OpBuilder(after).create("test.after")
+        OpBuilder(after).create("test.after2")
+        assert [op.name for op in block] == [
+            "test.early", "test.before", "test.last", "test.after", "test.after2",
+        ]
+
     def test_at_context_manager_restores(self):
         b1, b2 = Block(), Block()
         builder = OpBuilder.at_end(b1)

@@ -63,20 +63,20 @@ class TestFingerprint:
         assert cache.get(current) is None
         assert cache.stats.misses == 1
 
-    def test_disk_entry_of_emitter_3_is_a_clean_miss_under_4(self, tmp_path):
-        """A ``<fp>.py``/``.json`` pair persisted by emitter "3" is never
-        looked at by emitter "4": a miss, not a quarantine, file intact."""
+    def test_disk_entry_of_emitter_4_is_a_clean_miss_under_5(self, tmp_path):
+        """A ``<fp>.py``/``.json`` pair persisted by emitter "4" is never
+        looked at by emitter "5": a miss, not a quarantine, file intact."""
         import json
 
         from repro.codegen.python_backend import EMITTER_VERSION
 
-        assert EMITTER_VERSION == "4"
+        assert EMITTER_VERSION == "5"
         module = _lowered_module()
-        old = module_fingerprint(module, "kernel", "opts", backend_version="3")
+        old = module_fingerprint(module, "kernel", "opts", backend_version="4")
         KernelCache(disk_dir=tmp_path).put(old, compile_function(module))
         meta_path = tmp_path / f"{old}.json"
         meta_path.write_text(
-            json.dumps({**json.loads(meta_path.read_text()), "emitter": "3"})
+            json.dumps({**json.loads(meta_path.read_text()), "emitter": "4"})
         )
         restarted = KernelCache(disk_dir=tmp_path)
         assert restarted.get(module_fingerprint(module, "kernel", "opts")) is None

@@ -8,6 +8,7 @@ Everything that needs a compiler is skipped when ``cc`` is absent; the
 fallback cases (no ``cc``, a ``cc`` that fails or hangs) run regardless.
 """
 
+import dataclasses
 import os
 import re
 import shutil
@@ -31,8 +32,9 @@ from repro.codegen.python_backend import BackendError
 from repro.core import frontend
 from repro.core.pipeline import CompileOptions, StencilCompiler
 from repro.core.stencil import gauss_seidel_5pt_2d
-from repro.dialects import arith
+from repro.dialects import arith, cfd, linalg
 from repro.frontend import stencil_from_source
+from repro.ir import OpBuilder
 from repro.runtime.parallel import drain_events, num_threads, set_num_threads
 from repro.runtime.resilience import FaultPlan, clear_plan, injected
 from tests.test_scalar_unit import _fields, _lowered, _pattern, _shape
@@ -270,6 +272,177 @@ def test_min_max_select_compare_are_bit_identical():
     assert not kernel.events()
     np.testing.assert_array_equal(on_native, on_numpy)
     np.testing.assert_array_equal(on_native, interpreted)
+
+
+# ---------------------------------------------------------------------------
+# Whole-array ops: linalg.fill, linalg.generic, cfd.faceIteratorOp
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(got, want):
+    """Equal bit for bit (signed zeros included; any NaN matches a NaN)."""
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), np.isnan(want))
+    real = ~np.isnan(want)
+    np.testing.assert_array_equal(got[real].view(np.int64), want[real].view(np.int64))
+
+
+def _three_ways(compiler, module, entry, args, tmp_path=None):
+    """``call_tier("native") == call_tier("numpy") == Interpreter`` bit
+    for bit, at one and four threads, on ``module`` lowered once (and,
+    given ``tmp_path``, its C text clean under ``-Wall -Wextra -Werror``)."""
+    compiler.lower(module)
+    kernel = compiler.finish(module, entry=entry)
+    if tmp_path is not None:
+        (tmp_path / "k.c").write_text(kernel.native_source)
+        subprocess.run([CC, "-O1", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                        "k.c"], cwd=tmp_path, check=True)
+    assert not kernel.events() and kernel.wait_native(120), kernel.events()
+    with np.errstate(all="ignore"):
+        interpreted = Interpreter(module).run(entry, *[a.copy() for a in args])
+        for threads in (1, 4):
+            with num_threads(threads):
+                on_numpy = kernel.call_tier("numpy", *[a.copy() for a in args])
+                on_native = kernel.call_tier("native", *[a.copy() for a in args])
+            for native_, numpy_, oracle in zip(on_native, on_numpy, interpreted):
+                _same_bits(numpy_, oracle)
+                _same_bits(native_, numpy_)
+    return kernel
+
+
+def _e2e_programs():
+    from benchmarks.e2e import programs
+
+    return programs
+
+
+def _function(body, shapes, entry="f"):
+    """``func @entry(args of shapes) -> the last shape``, its result what
+    ``body(builder, args)`` returns."""
+    from repro.dialects import func
+    from repro.ir import ModuleOp, OpBuilder
+    from repro.ir.types import FunctionType, TensorType, f64
+
+    module = ModuleOp.create()
+    types = [TensorType(list(shape), f64) for shape in shapes]
+    fn = func.FuncOp.build(
+        OpBuilder.at_end(module.body), entry, FunctionType(types, types[-1:]))
+    builder = OpBuilder.at_end(fn.body)
+    func.ReturnOp.build(builder, [body(builder, fn.arguments)])
+    return module
+
+
+PLAIN = CompileOptions(use_cache=False)
+
+
+@needs_cc
+def test_lusgs_runs_fully_native_and_bit_identical(tmp_path):
+    """Fig. 15's solver at 8^3: the flux producer (fill + three face
+    sweeps) and both fused sweeps are C."""
+    P = _e2e_programs()
+    program = P.lusgs_program(
+        8, P.tr4_options((4, 4, 8), (2, 2, 8), 8), np.random.default_rng(0))
+    compiler = StencilCompiler(dataclasses.replace(program.options, use_cache=False))
+    kernel = _three_ways(
+        compiler, program.build(), "lusgs", program.make_args(), tmp_path)
+    # every loop and whole-array run the Python text names has its C twin
+    outlined = set(re.findall(r"\b(blk\d+)\b", kernel.source))
+    assert outlined == set(re.findall(r"int (blk\d+)\(", kernel.native_source))
+    assert len(outlined) >= 3 and "_faces(" in kernel.native_source
+
+
+@needs_cc
+def test_implicit_heat_tr4_runs_fully_native_and_bit_identical(tmp_path):
+    P = _e2e_programs()
+    program = P.heat_implicit_program(
+        18, P.tr4_options((8, 8, 16), (4, 4, 16), 16), np.random.default_rng(0))
+    compiler = StencilCompiler(dataclasses.replace(program.options, use_cache=False))
+    _three_ways(compiler, program.build(), "heat", program.make_args(), tmp_path)
+
+
+def _faces(builder, args):
+    """Two face sweeps with two variables: every inner cell receives the
+    ``-=`` of its upper face and the ``+=`` of its lower one, in an order
+    the rounding of ``b`` shows."""
+    x, b = args
+    for axis in (1, 0):
+        face = cfd.FaceIteratorOp.build(builder, x, b, axis=axis, nb_var=2)
+        rb = OpBuilder.at_end(face.body)
+        l0, l1, r0, r1 = face.body.arguments
+        jump = arith.subf(rb, r0, l0)
+        mean = arith.mulf(rb, arith.const_f64(rb, 0.1), arith.addf(rb, l1, r1))
+        cfd.CFDYieldOp.build(rb, [arith.mulf(rb, jump, mean), arith.divf(rb, jump, l1)])
+        b = face.result()
+    return b
+
+
+@needs_cc
+def test_face_sweeps_keep_numpys_update_order():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((2, 9, 11))
+    b = rng.standard_normal((2, 9, 11)) * 1e3  # rounds differently per order
+    kernel = _three_ways(StencilCompiler(PLAIN), _function(_faces, [x.shape] * 2),
+                         "f", (x, b))
+    assert "_faces(" in kernel.native_source
+
+
+def _shifted(builder, args):
+    """``out = in[i + (0, -1, 2)] * 3 - in[i + (0, 2, -1)] / out`` inside
+    margins that are wider than the offsets on one side."""
+    a, out = args
+    generic = linalg.GenericOp.build(
+        builder, [a, a], out, offsets=[(0, -1, 2), (0, 2, -1)],
+        margins=[(0, 0), (3, 0), (0, 4)])
+    gb = OpBuilder.at_end(generic.body)
+    up, down, old = generic.body.arguments
+    three = arith.const_f64(gb, 3.0)
+    value = arith.subf(gb, arith.mulf(gb, up, three), arith.divf(gb, down, old))
+    linalg.LinalgYieldOp.build(gb, [value])
+    return generic.result()
+
+
+@needs_cc
+def test_generic_with_offsets_and_margins():
+    rng = np.random.default_rng(8)
+    args = (rng.standard_normal((2, 10, 13)), rng.standard_normal((2, 10, 13)))
+    _three_ways(StencilCompiler(PLAIN), _function(_shifted, [(2, 10, 13)] * 2),
+                "f", args)
+
+
+def _ratio(builder, args):
+    a, b, out = args
+    fill = linalg.FillOp.build(builder, arith.const_f64(builder, -0.0), out)
+    generic = linalg.GenericOp.build(builder, [a, b], fill.result())
+    gb = OpBuilder.at_end(generic.body)
+    num, den, _ = generic.body.arguments
+    linalg.LinalgYieldOp.build(gb, [arith.divf(gb, num, den)])
+    return generic.result()
+
+
+@needs_cc
+def test_whole_array_zero_divisor_gives_inf_not_an_error():
+    """A zero divisor inside a whole-array op is IEEE: ``inf``/``nan`` on
+    every tier, where the scalar unit's would raise."""
+    a = np.array([[1.0, -2.0, 0.0, 3.0, -0.0, 5.0]])
+    b = np.array([[0.0, -0.0, 0.0, 2.0, 4.0, -0.0]])
+    kernel = _three_ways(StencilCompiler(PLAIN), _function(_ratio, [(1, 6)] * 3),
+                         "f", (a, b, np.ones((1, 6))))
+    (got,) = kernel.call_tier("native", a, b, np.ones((1, 6)))
+    with np.errstate(all="ignore"):
+        _same_bits(got, a / b)
+    assert "_div(" not in kernel.native_source.split("int blk")[1]
+
+
+def test_the_eight_benchmark_kinds_leave_no_op_to_numpy():
+    """No RS017 ``unsupported-op``: every kind's C text covers its loops
+    and whole-array ops (with or without a compiler to build it)."""
+    P = _e2e_programs()
+    programs = P.small_set(np.random.default_rng(0))
+    assert len({p.name.split("@")[0] for p in programs}) == 8
+    for program in programs:
+        kernel = program.compile(
+            dataclasses.replace(program.options, use_cache=False))
+        assert kernel.native_source is not None, program.name
+        assert not [r for r in _codes(kernel) if r.startswith("unsupported-op")]
 
 
 # ---------------------------------------------------------------------------

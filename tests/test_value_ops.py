@@ -40,7 +40,7 @@ FLOAT_OPS = sorted(n for n, r in RECORDS.items() if r.TYPE == "float")
 #: Not correctly rounded in libm: equal to NumPy within 1e-12 only.
 LIBM = {"math.exp", "math.log"}
 #: NumPy breaks a ±0 tie by the host's SIMD rule (x86: the second
-#: operand); the C macros ``_FMAX``/``_FMIN`` keep the first. Values agree.
+#: operand); the C macros ``_FMAX``/``_FMIN`` follow it.
 SIGNED_ZERO_TIES = {"arith.maximumf", "arith.minimumf"}
 
 SHAPE = (10, 15)  # rows of two strips and of a strip plus a scalar peel
@@ -145,8 +145,6 @@ def test_native_tier_equals_the_numpy_tier(name, tmp_path):
 
 
 @needs_cc
-@pytest.mark.xfail(reason="_FMAX/_FMIN keep the first operand of a ±0 tie, "
-                          "NumPy on x86 the second", strict=False)
 @pytest.mark.parametrize("name", sorted(SIGNED_ZERO_TIES))
 def test_native_max_min_break_signed_zero_ties_like_numpy(name):
     _, kernel = _compiled(name)
@@ -163,6 +161,33 @@ def test_an_op_without_a_c_format_is_one_rs017(name):
     assert kernel.native_source is None
     assert [e.code for e in kernel.events()] == ["RS017"]
     assert kernel.events()[0].message.endswith(f"unsupported-op:{name}")
+
+
+#: Row values: ``powf`` reads its base from a cell's row (the right
+#: neighbour) and its exponent from the next row (the one below).
+POWF_ROWS = [1.0, -2.0, 0.5, 1e300, 2.0, -1e300, 3.0, -3.0, 1001.0, 0.0]
+
+
+@pytest.mark.parametrize("vf", [0, 4], ids=["scalar-unit", "vector-lanes"])
+def test_powf_edges_are_numpy_power_not_an_exception(vf):
+    """A negative base with a non-integer exponent is NaN and an overflow
+    ±inf, on the scalar unit and in the interpreter alike: what
+    ``numpy.power`` gives the kernel's vector lanes."""
+    module = frontend.build_stencil_kernel(
+        gauss_seidel_5pt_2d(), SHAPE, _body("math.powf"))
+    compiler = StencilCompiler(dataclasses.replace(OPTIONS, vectorize=vf))
+    compiler.lower(module)
+    kernel = compiler.finish(module)
+    x = np.repeat(np.array(POWF_ROWS)[:, None], SHAPE[1], axis=1)[None]
+    b = np.full_like(x, -0.0)
+    with np.errstate(all="ignore"):
+        (on_numpy,) = kernel.call_tier("numpy", x.copy(), b.copy(), x.copy())
+        (interpreted,) = Interpreter(module).run("kernel", x.copy(), b.copy(), x.copy())
+        want = np.power(POWF_ROWS[1:-1], POWF_ROWS[2:]) / 4.0
+    _assert_same_bits(on_numpy, interpreted)
+    for row, value in enumerate(want, start=1):
+        _assert_same_bits(on_numpy[0, row, 1:-1], np.full(SHAPE[1] - 2, value))
+    assert np.isnan(want).any() and np.isposinf(want).any() and np.isneginf(want).any()
 
 
 _HEAD = """builtin.module() ({
