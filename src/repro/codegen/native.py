@@ -86,21 +86,34 @@ class NativeLib:
 
     def __init__(self, cdll: ctypes.CDLL) -> None:
         self._cdll = cdll
+        #: fn -> (its entry, its run-of-tiles entry or None), typed once
+        self._entries: Dict[str, tuple] = {}
+
+    def _entry(self, fn: str) -> tuple:
+        entries = self._entries.get(fn)
+        if entries is None:
+            call = getattr(self._cdll, fn)
+            call.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_long]
+            runner = getattr(self._cdll, fn + "_run", None)
+            if runner is not None:  # a grouped loop's
+                runner.argtypes = [ctypes.c_void_p] * 4 + [
+                    ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p]
+            entries = self._entries[fn] = (call, runner)
+        return entries
 
     def __call__(
         self, fn: str, fallback: Optional[Callable], arrays: Sequence[Any],
         longs: Sequence[int] = (), doubles: Sequence[float] = (),
     ) -> Optional[Callable[[int], None]]:
         """``block(lin)`` running ``fn`` over ``arrays`` in place, or
-        ``fallback`` when one of them is not C-contiguous float64."""
+        ``fallback`` when one of them is not C-contiguous float64. A
+        grouped loop's ``block`` also has ``block.run(lins)``."""
         shapes: List[int] = []
         for a in arrays:
             if not dense_f64(a):
                 return fallback
             shapes.extend(a.shape)
-        call = getattr(self._cdll, fn)
-        call.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_long]
-        call.restype = ctypes.c_int
+        call, runner = self._entry(fn)
         args = (
             (ctypes.c_void_p * len(arrays))(*[a.ctypes.data for a in arrays]),
             (ctypes.c_long * len(shapes))(*shapes),
@@ -113,6 +126,16 @@ class NativeLib:
             if code:
                 raise _ERRORS.get(code, _ERRORS[2])(fn)
 
+        if runner is not None:
+            def run(lins, _keep=arrays):
+                """``block`` over the tiles ``lins`` in order, in one call:
+                ``(tiles finished, the error that stopped it or None)``."""
+                lins = np.ascontiguousarray(lins, dtype=np.int64)
+                done = ctypes.c_long(0)
+                code = runner(*args, lins.ctypes.data, len(lins), ctypes.byref(done))
+                return done.value, _ERRORS.get(code, _ERRORS[2])(fn) if code else None
+
+            block.run = run
         return block
 
 

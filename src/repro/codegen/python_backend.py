@@ -64,7 +64,7 @@ from repro.ir.values import OpResult, Value
 #: Version of the emission strategy. Part of every kernel-cache
 #: fingerprint: bump it whenever emitted code changes for the same IR, so
 #: persisted cache entries from older emitters are never reused.
-EMITTER_VERSION = "5"
+EMITTER_VERSION = "6"
 
 
 class BackendError(Exception):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -112,9 +113,24 @@ def wavefront_groups(theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def compute_parallel_blocks(
     num_blocks: Sequence[int], block_offsets: Iterable[Offset]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The full ``cfd.get_parallel_blocks`` computation: Eq. (3) + CSR."""
-    theta = longest_path_schedule(num_blocks, block_offsets)
-    return wavefront_groups(theta)
+    """The full ``cfd.get_parallel_blocks`` computation: Eq. (3) + CSR.
+
+    The grid and offsets are compile-time constants of a kernel, so every
+    schedule is computed once per process and shared: the arrays are
+    read-only (copy them to edit a schedule).
+    """
+    return _memo(
+        tuple(int(n) for n in num_blocks),
+        tuple(tuple(int(c) for c in o) for o in block_offsets),
+    )
+
+
+@lru_cache(maxsize=256)
+def _memo(num_blocks: Tuple[int, ...], block_offsets: Tuple[Offset, ...]):
+    csr = wavefront_groups(longest_path_schedule(num_blocks, block_offsets))
+    for a in csr:
+        a.flags.writeable = False
+    return csr
 
 
 def validate_schedule(
@@ -212,7 +228,7 @@ class ScheduleStamp:
         return max(self.group_sizes, default=0)
 
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Recompute the full CSR payload (offsets, indices)."""
+        """The full CSR payload (offsets, indices), read-only."""
         return compute_parallel_blocks(self.num_blocks, self.block_offsets)
 
     def to_json(self) -> dict:

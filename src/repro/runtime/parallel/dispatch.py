@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
+import numpy as np
+
 from repro.runtime.parallel.pool import get_num_threads, get_pool
-from repro.runtime.resilience.faults import maybe_inject
+from repro.runtime.resilience.faults import active_plan, maybe_inject
 
 #: Dropping old events beats unbounded growth inside a long time loop.
 _MAX_EVENTS = 64
@@ -102,6 +104,25 @@ def _run_chunk(
         done.append(lin)
 
 
+def _run_native_chunk(chunk, block_fn, done: List[int], failures: List) -> None:
+    """:func:`_run_chunk` as one foreign call of the block's runner."""
+    finished, exc = block_fn.run(chunk)
+    done.extend(chunk[:finished])
+    if exc is not None:
+        failures.append((chunk[finished], exc))
+
+
+def _run_in_order(lins, block_fn: Callable[[int], None], native: bool) -> None:
+    """The blocks ``lins`` on the calling thread; the first error raises."""
+    if native:
+        exc = block_fn.run(lins)[1] if len(lins) else None
+        if exc is not None:
+            raise exc
+    else:
+        for lin in lins:
+            block_fn(lin)
+
+
 def dispatch_wavefronts(
     offsets,
     indices,
@@ -109,7 +130,13 @@ def dispatch_wavefronts(
     inplace: bool = True,
     certified: bool = False,
 ) -> DispatchStats:
-    """Execute one CSR wavefront schedule; returns the dispatch stats."""
+    """Execute one CSR wavefront schedule; returns the dispatch stats.
+
+    A native block with a runner (``block_fn.run``) takes every span of
+    groups that runs on the calling thread, and every worker's slice of
+    a group, in one foreign call; with a fault plan installed or a
+    refusal it is called block by block, like a NumPy-tier closure.
+    """
     global _last_stats
     stats = DispatchStats(requested_threads=get_num_threads())
     _last_stats = stats
@@ -130,30 +157,31 @@ def dispatch_wavefronts(
             "SSA values across blocks; executing sequentially",
         )
         threads = 1
+    native = (hasattr(block_fn, "run") and stats.refusal is None
+              and active_plan() is None)
+    chunk_fn = _run_native_chunk if native else _run_chunk
     pool = get_pool(threads) if threads > 1 else None
-    for g in range(len(offsets) - 1):
-        group = indices[offsets[g] : offsets[g + 1]]
-        stats.groups += 1
-        stats.blocks += len(group)
-        if pool is None or len(group) < 2:
-            if len(group) == 1:
-                stats.inline_groups += 1
-            elif len(group) > 1:
-                stats.sequential_groups += 1
-            for lin in group:
-                block_fn(lin)
+    sizes = np.diff(offsets)
+    stats.groups, stats.blocks = len(sizes), int(sizes.sum())
+    stats.inline_groups = int(np.count_nonzero(sizes == 1))
+    many = sizes > 1
+    wide = np.flatnonzero(many) if pool is not None else ()
+    stats.sequential_groups = int(np.count_nonzero(many)) - len(wide)
+    start = 0  # the first position of indices not run yet
+    for g in wide:
+        lo, hi = offsets[g], offsets[g + 1]
+        if pool is None:  # degraded: every later group is sequential
+            stats.sequential_groups += 1
             continue
+        _run_in_order(indices[start:lo], block_fn, native)
+        start = hi
+        group = indices[lo:hi]
         per = -(-len(group) // threads)
-        chunks = [
-            group[i * per : (i + 1) * per]
-            for i in range(threads)
-            if i * per < len(group)
-        ]
         done: List[int] = []
         failures: List = []
         futures = [
-            pool.submit(_run_chunk, chunk, block_fn, done, failures)
-            for chunk in chunks
+            pool.submit(chunk_fn, group[i : i + per], block_fn, done, failures)
+            for i in range(0, len(group), per)
         ]
         for future in futures:  # the group barrier
             future.result()
@@ -174,10 +202,10 @@ def dispatch_wavefronts(
                 f"block(s) sequentially and degrading the remaining "
                 f"{len(offsets) - 2 - g} group(s)",
             )
-            for lin in recover:
-                block_fn(lin)
+            _run_in_order(np.array(recover, dtype=np.int64), block_fn, native)
             stats.sequential_groups += 1
             pool = None  # every later group stays sequential
         else:
             stats.parallel_groups += 1
+    _run_in_order(indices[start:], block_fn, native)
     return stats

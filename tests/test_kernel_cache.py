@@ -63,20 +63,20 @@ class TestFingerprint:
         assert cache.get(current) is None
         assert cache.stats.misses == 1
 
-    def test_disk_entry_of_emitter_4_is_a_clean_miss_under_5(self, tmp_path):
-        """A ``<fp>.py``/``.json`` pair persisted by emitter "4" is never
-        looked at by emitter "5": a miss, not a quarantine, file intact."""
+    def test_disk_entry_of_emitter_5_is_a_clean_miss_under_6(self, tmp_path):
+        """A ``<fp>.py``/``.json`` pair persisted by emitter "5" is never
+        looked at by emitter "6": a miss, not a quarantine, file intact."""
         import json
 
         from repro.codegen.python_backend import EMITTER_VERSION
 
-        assert EMITTER_VERSION == "5"
+        assert EMITTER_VERSION == "6"
         module = _lowered_module()
-        old = module_fingerprint(module, "kernel", "opts", backend_version="4")
+        old = module_fingerprint(module, "kernel", "opts", backend_version="5")
         KernelCache(disk_dir=tmp_path).put(old, compile_function(module))
         meta_path = tmp_path / f"{old}.json"
         meta_path.write_text(
-            json.dumps({**json.loads(meta_path.read_text()), "emitter": "4"})
+            json.dumps({**json.loads(meta_path.read_text()), "emitter": "5"})
         )
         restarted = KernelCache(disk_dir=tmp_path)
         assert restarted.get(module_fingerprint(module, "kernel", "opts")) is None
