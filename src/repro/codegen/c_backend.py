@@ -128,19 +128,26 @@ FN int _new(T *t, int r, const long *n, S *slot, int zero, int *e) {
     *t = _arg(slot->p, n, r);
     return 0;
 }
-/* d[...] = s[...]: equal extents, rows contiguous in both */
-FN int _copy(const T *d, const T *s, int r, int *e) {
+/* d[...] = s[...], or = v without s: row by row (a view's rows lie its
+   strides apart; each row is contiguous) */
+FN int _rows(const T *d, const T *s, double v, int r) {
     long i[RANK] = {0}, row = r ? d->n[r - 1] : 1;
-    for (int k = 0; k < r; ++k) if (d->n[k] != s->n[k]) return FAIL(e, E_RANGE);
     for (int k = 0; k < r; ++k) if (d->n[k] == 0) return 0;
     for (;;) {
         long od = 0, os = 0;
         int k = r - 2;
-        for (int j = 0; j < r - 1; ++j) { od += i[j] * d->s[j]; os += i[j] * s->s[j]; }
-        memmove(d->p + od, s->p + os, row * sizeof(double));
+        for (int j = 0; j < r - 1; ++j) { od += i[j] * d->s[j]; os += i[j] * (s ? s->s[j] : 0); }
+        if (s) memmove(d->p + od, s->p + os, row * sizeof(double));
+        else for (long j = 0; j < row; ++j) d->p[od + j] = v;
         for (; k >= 0; --k) { if (++i[k] < d->n[k]) break; i[k] = 0; }
         if (k < 0) return 0;
     }
+}
+/* d[...] = s[...]: equal extents; a view put onto itself is left be */
+FN int _copy(const T *d, const T *s, int r, int *e) {
+    for (int k = 0; k < r; ++k) if (d->n[k] != s->n[k]) return FAIL(e, E_RANGE);
+    if (d->p == s->p && !memcmp(d->s, s->s, r * sizeof(long))) return 0;
+    return _rows(d, s, 0.0, r);
 }
 /* t = src[o : o + n].copy() */
 FN int _slice(T *t, const T *src, int r, const long *o, const long *n,
@@ -163,12 +170,8 @@ FN double *_row(const T *t, int r, const long *i, long len, int *e) {
     }
     return t->p + o;
 }
-/* t[...] = v (a buffer the walk names is C-contiguous) */
-FN void _fill(const T *t, int r, double v) {
-    long size = 1;
-    for (int d = 0; d < r; ++d) size *= t->n[d];
-    for (long k = 0; k < size; ++k) t->p[k] = v;
-}
+/* t[...] = v */
+FN void _fill(const T *t, int r, double v) { _rows(t, NULL, v, r); }
 /* a faceIteratorOp's state x and right-hand side b: one spatial shape,
    at least nv variables each */
 FN int _faces(const T *x, const T *b, int r, long nv, int *e) {
@@ -500,11 +503,11 @@ class CEmitter(Emitter):
             for k, (_, _, what) in enumerate(run):
                 self.emit(f"_p[{k}] = {what};")
 
-    def slice_copy(self, value: Value, src: str, offs, sizes) -> None:
-        n = self.name(value)
-        self._buffer(n, f"_slice(&{n}, &{src}, {len(offs)}, {_longs(offs)}, "
-                        f"{_longs(sizes)}, {self._slot()}, &_err)")
-        self.owned[id(value)] = True
+    def slice(self, value: Value, src: str, offs, sizes, view) -> None:
+        n, window = self.name(value), f"{len(offs)}, {_longs(offs)}, {_longs(sizes)}"
+        self._buffer(n, f"_view(&{n}, &{src}, {window}, &_err)" if view is not None
+                     else f"_slice(&{n}, &{src}, {window}, {self._slot()}, &_err)")
+        self.owned[id(value)] = view is not False
 
     def slice_store(self, dst: str, offs, sizes, src: str) -> None:
         self.emit(f"if (_put(&{dst}, {len(offs)}, {_longs(offs)}, "

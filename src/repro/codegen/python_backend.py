@@ -31,7 +31,14 @@ binding *owns* it (the producer created it fresh) and the mutating op is
 the value's last use in block order; otherwise a ``.copy()`` is emitted.
 Function arguments are never owned, so caller arrays are never mutated.
 A value that merely renames a buffer (a stolen operand, a loop result)
-shares its name: no statement is printed for it.
+shares its name: no statement is printed for it. A ``tensor.extract_slice``
+prints as a *view* of its source, no copy (:meth:`Emitter.view`), when it
+is only read while its source is not written, or when it is updated in
+place and then put back at the same cells by its source's next and last
+use (for a tiled loop's out, the loop's ``[lbs, ubs)`` core of it), a put
+of a buffer onto itself that neither tier spends time on. Every other
+slice, e.g. a scratch slice filled and never put back, is a copy; so is
+every slice in the interpreter, the value-semantics oracle.
 
 Deferred stores: a chain of in-place ``tensor.insert``s is held back and
 written as one slice store per row (:class:`_PendingStores`). Until the
@@ -46,6 +53,7 @@ in-place insert merely sees the older contents its SSA value denotes.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import ExitStack, contextmanager
 from itertools import groupby
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -64,7 +72,7 @@ from repro.ir.values import OpResult, Value
 #: Version of the emission strategy. Part of every kernel-cache
 #: fingerprint: bump it whenever emitted code changes for the same IR, so
 #: persisted cache entries from older emitters are never reused.
-EMITTER_VERSION = "6"
+EMITTER_VERSION = "7"
 
 
 class BackendError(Exception):
@@ -125,6 +133,67 @@ def _is_scalar_expr(op: Operation) -> bool:
     return (
         op.name.startswith(("arith.", "math.")) or op.name == "vector.extract"
     ) and not isinstance(op.result().type, (TensorType, VectorType))
+
+
+#: Ops that update an operand in place: name -> (op, result index) ->
+#: the operand's index.
+_UPDATES = {
+    "scf.for": lambda op, i: 3 + i,
+    "cfd.tiled_loop": lambda op, i: 3 * op.rank + op.num_ins + i,
+    "linalg.generic": lambda op, i: op.num_ins,
+    **dict.fromkeys(("tensor.insert", "tensor.insert_slice", "linalg.fill",
+                     "vector.transfer_write", "cfd.faceIteratorOp"), lambda op, i: 1),
+}
+_READERS = {"tensor.extract", "tensor.extract_slice", "tensor.dim",
+            "vector.transfer_read"}
+
+
+def _reads(use) -> bool:
+    """Does ``use`` only read the buffer of its operand?"""
+    op, update = use.owner, _UPDATES.get(use.owner.name)
+    return op.name in _READERS or update is not None and use.operand_index not in {
+        update(op, i) for i in range(max(1, op.num_results))}
+
+
+def _updates(value: Value, first: Value) -> bool:
+    """Is ``value`` ``first`` after a chain of in-place updates, each
+    the only use of the one before?"""
+    while value is not first:
+        op = getattr(value, "op", None)
+        if op is None or op.name not in _UPDATES or len(value.uses) != 1:
+            return False
+        value = op.operand(_UPDATES[op.name](op, value.index))
+    return True
+
+
+def _sum_is(a: Value, b: Value, c: Value) -> bool:
+    """Is ``a + b == c`` by construction?"""
+    ka, kb, kc = _const(a), _const(b), _const(c)
+    diff = getattr(b, "op", None)
+    return (None not in (ka, kb, kc) and ka + kb == kc) or (kb == 0 and a is c) or (
+        ka == 0 and b is c) or (diff is not None and diff.name == "arith.subi"
+                                and diff.operand(0) is c and diff.operand(1) is a)
+
+
+def _same_cells(op: Operation, put: Operation, core) -> bool:
+    """Does ``put`` write back the cells the slice ``op`` took and, through
+    ``core`` (a slice of a tiled loop's result), every cell the loop may
+    have written: its ``[lbs, ubs)`` window, whole along untiled dims?"""
+    rank = (op.num_operands - 1) // 2
+    offs, sizes = op.operands[1:1 + rank], op.operands[1 + rank:]
+    to, n = put.operands[2:2 + rank], put.operands[2 + rank:]
+    if core is None:
+        return all(map(operator.is_, offs + sizes, to + n))
+    loop = core.operand(0).op
+    at, size = core.operands[1:1 + rank], core.operands[1 + rank:]
+    if loop.name != "cfd.tiled_loop" or not all(map(operator.is_, size, n)):
+        return False
+    lead = rank - loop.rank
+    return all(map(_sum_is, offs, at, to)) and all(
+        _const(a) == 0 and _sum_is(a, s, f)
+        for a, s, f in zip(at[:lead], size, sizes)) and all(
+        a is lb and _sum_is(lb, s, ub)
+        for a, s, lb, ub in zip(at[lead:], size[lead:], loop.lbs, loop.ubs))
 
 
 def _base_offset(index: Value) -> Tuple[Value, int]:
@@ -309,8 +378,10 @@ class Emitter:
     def _window(self, offs: Sequence[str], sizes: Sequence[str]) -> str:
         return ", ".join(f"{o}:{o} + {s}" for o, s in zip(offs, sizes))
 
-    def slice_copy(self, value: Value, src: str, offs, sizes) -> None:
-        self.bind(value, f"{src}[{self._window(offs, sizes)}].copy()", owned=True)
+    def slice(self, value: Value, src: str, offs, sizes, view) -> None:
+        """``value = src[window]``: a copy, or a view (:meth:`view`)."""
+        window, copy = self._window(offs, sizes), ".copy()" if view is None else ""
+        self.bind(value, f"{src}[{window}]{copy}", owned=view is not False)
 
     def slice_store(self, dst: str, offs, sizes, src: str) -> None:
         self.emit(f"{dst}[{self._window(offs, sizes)}] = {src}")
@@ -368,6 +439,51 @@ class Emitter:
             if other < 0 or other >= my_pos:
                 return False
         return True
+
+    # ---- views ------------------------------------------------------------
+
+    def _live_end(self, value: Value, block: Block) -> int:
+        """Position in ``block`` of the last use of ``value`` or of a
+        slice of it (the slice's own uses included)."""
+        return max([self._position_in(block, u.owner) for u in value.uses] + [
+            self._live_end(u.owner.result(), block) for u in value.uses
+            if u.owner.name == "tensor.extract_slice"], default=-1)
+
+    def view(self, op: Operation) -> Optional[bool]:
+        """How the ``tensor.extract_slice`` ``op`` prints: ``None`` a
+        copy, ``False`` a read-only view, ``True`` an update view."""
+        if self._update_pair(op):
+            return True
+        block = op.parent
+        if not all(map(_reads, op.result().uses)):
+            return None
+        at, end = self._position_in(block, op), self._live_end(op.result(), block)
+        return None if any(  # the source is written while the slice lives
+            not _reads(u) or u.owner.name == "tensor.extract_slice"
+            and self._update_pair(u.owner)
+            for u in op.operand(0).uses
+            if at < self._position_in(block, u.owner) <= end) else False
+
+    def _update_pair(self, op: Operation) -> bool:
+        """Is the slice ``op`` put back by its source's one later use, at
+        the same cells, as a value that single-use in-place updates of it
+        made (or a ``core`` slice of one), with the slice dead by then and
+        no vector view of the source taken?"""
+        src, block, value = op.operand(0), op.parent, op.result()
+        at = self._position_in(block, op)
+        later = [u.owner for u in src.uses if self._position_in(block, u.owner) > at]
+        put = later[0] if len(later) == 1 else op  # (op: no put-back)
+        if put.name != "tensor.insert_slice" or put.parent is not block or any(
+                u.owner.name == "vector.transfer_read" for u in src.uses):
+            return False
+        back = final = put.operand(0)
+        core = None if _updates(back, value) else getattr(back, "op", None)
+        if core is not None and core.name == "tensor.extract_slice":
+            final = core.operand(0)
+        return (len(back.uses) == 1 and put.operand(1) is src
+                and _updates(final, value) and self.can_steal(src, put)
+                and _same_cells(op, put, core)
+                and self._live_end(value, block) <= self._position_in(block, put))
 
     def take(self, op: Operation, operand_index: int) -> str:
         """The name of a buffer holding the operand's contents that the
@@ -608,7 +724,7 @@ class Emitter:
 
     def _emit_tensor_extract_slice(self, op) -> None:
         offs, sizes = self._window_operands(op, 1)
-        self.slice_copy(op.result(), self.name(op.operand(0)), offs, sizes)
+        self.slice(op.result(), self.name(op.operand(0)), offs, sizes, self.view(op))
 
     def _emit_tensor_insert_slice(self, op) -> None:
         offs, sizes = self._window_operands(op, 2)

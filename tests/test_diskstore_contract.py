@@ -278,6 +278,10 @@ def test_eight_concurrent_writers_of_one_key(tenant, tmp_path):
             mine = tenant.open(tmp_path)
             for _ in range(rounds):
                 tenant.put(mine)
+                assert tenant.stats(mine).disk_errors == 0, (
+                    "a store swallowed an OSError or InjectedFault "
+                    "(disk_errors), so it left nothing committed"
+                )
                 reader = tenant.open(tmp_path)
                 assert tenant.get(reader) is not None
                 assert tenant.stats(reader).quarantined == 0

@@ -63,20 +63,22 @@ class TestFingerprint:
         assert cache.get(current) is None
         assert cache.stats.misses == 1
 
-    def test_disk_entry_of_emitter_5_is_a_clean_miss_under_6(self, tmp_path):
-        """A ``<fp>.py``/``.json`` pair persisted by emitter "5" is never
-        looked at by emitter "6": a miss, not a quarantine, file intact."""
+    def test_disk_entry_of_the_previous_emitter_is_a_clean_miss(self, tmp_path):
+        """A ``<fp>.py``/``.json`` pair persisted by the previous emitter
+        version is never looked at by the current one: a miss, not a
+        quarantine, file intact."""
         import json
 
         from repro.codegen.python_backend import EMITTER_VERSION
 
-        assert EMITTER_VERSION == "6"
+        previous = str(int(EMITTER_VERSION) - 1)
+        assert previous != EMITTER_VERSION
         module = _lowered_module()
-        old = module_fingerprint(module, "kernel", "opts", backend_version="5")
+        old = module_fingerprint(module, "kernel", "opts", backend_version=previous)
         KernelCache(disk_dir=tmp_path).put(old, compile_function(module))
         meta_path = tmp_path / f"{old}.json"
         meta_path.write_text(
-            json.dumps({**json.loads(meta_path.read_text()), "emitter": "5"})
+            json.dumps({**json.loads(meta_path.read_text()), "emitter": previous})
         )
         restarted = KernelCache(disk_dir=tmp_path)
         assert restarted.get(module_fingerprint(module, "kernel", "opts")) is None
